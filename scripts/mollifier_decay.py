@@ -16,7 +16,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--spec", default="lq:q=4:dim=3")
     ap.add_argument("--p", type=float, default=0.5)
-    ap.add_argument("--n-max", type=int, default=128)
+    ap.add_argument("--n-max", type=int, default=4096)
     args = ap.parse_args()
 
     spec = parse_spec(args.spec)

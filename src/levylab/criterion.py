@@ -117,7 +117,7 @@ def second_derivative_test(
     if theta_count < 8:
         raise ValueError(f"theta_count must be at least 8, got {theta_count}")
     if not x1_max > 1e-5:
-        raise ValueError(f"x1_max must exceed the scan floor 1e-6, got {x1_max}")
+        raise ValueError(f"x1_max must exceed the scan floor 1e-5, got {x1_max}")
     if not (tol_i > 0.0 and tol_iii > 0.0):
         raise ValueError("tolerances must be positive")
     if spec.dim != 3:

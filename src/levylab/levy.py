@@ -322,6 +322,9 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     in the result.
     """
     _check_p(p)
+    if spec.dim not in DEFAULT_LEVELS:
+        raise ValueError(f"the moment problem supports dim {sorted(DEFAULT_LEVELS)}, "
+                         f"got dim = {spec.dim}")
     if levels is None:
         levels = DEFAULT_LEVELS[spec.dim]
     levels = [(int(d), int(s)) for d, s in levels]

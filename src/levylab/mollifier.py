@@ -10,11 +10,25 @@ against the separable bump phi_n(x) = h_n(x1) u(x2, x3), where
     h_n(t) = (n / sqrt(2 pi)) exp(-t^2 n^2 / 2),
     u(x2, x3) = (1 / 2 pi) exp(-(x2^2 + x3^2) / 2).
 
-``lhs_integral`` evaluates <G, phi_n> by direct quadrature: adaptive
-Gauss-Kronrod in x1 (truncated at |x1| <= 10/n, where the remaining h_n
-mass is below 1e-20) tensored with polar (r, phi) in the (x2, x3)-plane
-(r truncated at 12, where the remaining u mass is below 1e-30); the polar
-Jacobian absorbs the r^{p-1} integrable singularity at the origin.
+``lhs_integral`` evaluates <G, phi_n> as an exact 2D integral. G is
+homogeneous of degree p - 2, so in polar coordinates (r, phi) on the
+(x2, x3)-plane with x1 = r s the radial integral is the Gaussian moment
+
+    int_0^inf r^p exp(-(1 + s^2 n^2) r^2 / 2) dr
+        = 2^{(p-1)/2} Gamma((p+1)/2) (1 + s^2 n^2)^{-(p+1)/2},
+
+which leaves
+
+    <G, phi_n> = c0 int_0^{2 pi} dphi int_R ds G(s, cos phi, sin phi)
+                 (1 + s^2 n^2)^{-(p+1)/2},
+    c0 = n 2^{(p-1)/2} Gamma((p+1)/2) / (2 pi)^{3/2},
+
+for every norm. G is even in s; the substitution n s = tan(theta) maps
+s >= 0 onto [0, pi/2) with weight cos(theta)^{p-1} and cancels the n in
+c0. The theta integral is adaptive Gauss-Kronrod seeded at
+theta = arctan(n 4^k), the feature scales of the integrand; the phi
+integral is the periodic trapezoid rule, doubled until the change between
+levels plus the inner error estimates falls below the tolerance.
 
 ``rhs_value`` evaluates the same pairing through the Fourier transform when
 the norm has a spherical representation ||x||^p = int |<x, xi>|^p dmu(xi):
@@ -43,8 +57,6 @@ from .norms import NormSpec
 from .parallel import parallel_map
 from .quadrature import QuadratureError, integrate
 
-X1_CUT_FACTOR = 10.0     # |x1| <= 10/n keeps the missed h_n mass < 1e-20
-R_CUT = 12.0             # r <= 12 keeps the missed u mass < 1e-30
 PHI_START = 16
 PHI_MAX = 256
 DEFAULT_REL_TOL = 1e-4
@@ -85,10 +97,6 @@ class Mollifier:
         out = (self.n / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * (x1 * self.n) ** 2)
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def cut(self) -> float:
-        return X1_CUT_FACTOR / self.n
-
     def mass(self, rel_tol: float = 1e-12) -> float:
         """Quadrature of h_n over |x1| <= 12/n (missed tails < 1e-31)."""
         top = 12.0 / self.n
@@ -106,14 +114,6 @@ class Mollifier:
         return 2.0 * res.scalar
 
 
-def plane_bump(x2, x3):
-    """u(x2, x3) = exp(-(x2^2 + x3^2)/2) / (2 pi)."""
-    x2 = np.asarray(x2, dtype=float)
-    x3 = np.asarray(x3, dtype=float)
-    out = np.exp(-0.5 * (x2 * x2 + x3 * x3)) / (2.0 * math.pi)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class LhsResult:
     value: float
@@ -124,85 +124,47 @@ class LhsResult:
     p: float
     spec_label: str
     phi_count: int
-    x1_cut: float
-    r_cut: float = R_CUT
-
-
-def _x1_breakpoints(r: np.ndarray, cut: float) -> np.ndarray:
-    """Per-row sorted breakpoints of the composite x1 rule on [0, cut].
-
-    Geometric points track the feature scale of the degree-(p-2) homogeneous
-    integrand (width ~ r); fixed fractions of the cut resolve h_n itself.
-    """
-    geo = r[:, None] * (4.0 ** np.arange(-1.0, 9.0))[None, :]
-    fixed = cut * np.array([0.125, 0.25, 0.5, 0.75])
-    bp = np.concatenate([geo, np.broadcast_to(fixed, (len(r), 4))], axis=1)
-    bp = np.clip(bp, 0.0, cut)
-    bp = np.sort(bp, axis=1)
-    return np.concatenate([np.zeros((len(r), 1)), bp, np.full((len(r), 1), cut)], axis=1)
-
-
-def _make_plane_integrand(spec: NormSpec, p: float, n: int):
-    """Returns f(r, cos_phi, sin_phi) -> (len(r), 3) with components
-    (first-term, second-term, inner x1 quadrature error), each already
-    multiplied by u(x2, x3) * r."""
-    fn = spec.as_power_orlicz()
-    moll = Mollifier(n)
-    cut = moll.cut
-
-    from .quadrature import PANEL_NODES, panel_nodes, panel_sums
-
-    def integrand(r: np.ndarray, cphi: float, sphi: float) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        bp = _x1_breakpoints(r, cut)
-        lo = bp[:, :-1].ravel()
-        hi = bp[:, 1:].ravel()
-        panels_per_row = bp.shape[1] - 1
-        xs1 = panel_nodes(lo, hi).ravel()
-        reps = panels_per_row * PANEL_NODES
-        r_rep = np.repeat(r, reps)
-        pts = np.column_stack([xs1, r_rep * cphi, r_rep * sphi])
-        d1, d2, nrm = d1_d2_norm_batch(fn, pts)
-        hvals = moll.h(xs1)
-        first = p * (p - 1.0) * nrm ** (p - 2.0) * d1 * d1 * hvals
-        second = p * nrm ** (p - 1.0) * d2 * hvals
-        vals = np.stack([first, second], axis=-1).reshape(-1, PANEL_NODES, 2)
-        kron, err = panel_sums(vals, lo, hi)
-        kron = kron.reshape(len(r), panels_per_row, 2).sum(axis=1)
-        err_rows = err.reshape(len(r), panels_per_row).sum(axis=1)
-        weight = 2.0 * plane_bump(r * cphi, r * sphi) * r   # 2: evenness in x1
-        return np.column_stack([kron * weight[:, None], err_rows * weight])
-
-    return integrand
+    panels: int               # inner theta panels, summed over every phi evaluated
 
 
 def lhs_integral(spec: NormSpec, p: float, n: int,
                  rel_tol: float = DEFAULT_REL_TOL) -> LhsResult:
-    """<G, phi_n> by tensor quadrature; raises QuadratureError if the
-    a-posteriori error estimate cannot be brought below rel_tol."""
+    """<G, phi_n> by the reduced 2D quadrature; raises QuadratureError if
+    the a-posteriori error estimate cannot be brought below rel_tol."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1) for the mollified pairing, got {p}")
     if spec.dim != 3:
         raise ValueError(f"requires dim = 3, got {spec.dim}")
     if not spec.smooth_in_x1:
         raise ValueError("the x1-sections must be C^2 off the plane x1 = 0")
-    moll = Mollifier(n)
-    integrand = _make_plane_integrand(spec, p, n)
-    r_breaks = [R_CUT * 2.0 ** -k for k in range(1, 49)]
+    Mollifier(n)              # rejects an n that is not a positive integer
+    fn = spec.as_power_orlicz()
+    # c0 / n, doubled for the evenness of G in s
+    scale = 2.0 ** ((p + 1.0) / 2.0) * math.gamma((p + 1.0) / 2.0) / (2.0 * math.pi) ** 1.5
+    theta_breaks = [math.atan(n * 4.0 ** k) for k in range(-10, 11)]
 
-    def r_integral(phi: float) -> np.ndarray:
-        res = integrate(lambda r: integrand(r, math.cos(phi), math.sin(phi)),
-                        0.0, R_CUT, rel_tol=1e-7, breakpoints=r_breaks,
-                        max_panels=512)
-        return np.array([res.value[0], res.value[1], res.value[2] + res.error])
+    def theta_integral(phi: float) -> np.ndarray:
+        cphi, sphi = math.cos(phi), math.sin(phi)
+
+        def integrand(theta: np.ndarray) -> np.ndarray:
+            pts = np.column_stack([np.tan(theta) / n, np.full_like(theta, cphi),
+                                   np.full_like(theta, sphi)])
+            d1, d2, nrm = d1_d2_norm_batch(fn, pts)
+            weight = scale * np.cos(theta) ** (p - 1.0)
+            return np.column_stack([p * (p - 1.0) * nrm ** (p - 2.0) * d1 * d1 * weight,
+                                    p * nrm ** (p - 1.0) * d2 * weight])
+
+        res = integrate(integrand, 0.0, 0.5 * math.pi, rel_tol=1e-7,
+                        breakpoints=theta_breaks)
+        return np.array([res.value[0], res.value[1], res.error, res.panels])
 
     m = PHI_START
     phis = 2.0 * math.pi * np.arange(m) / m
-    cache = dict(zip(phis.tolist(), parallel_map(r_integral, phis.tolist())))
+    cache = dict(zip(phis.tolist(), parallel_map(theta_integral, phis.tolist())))
     prev = None
     while True:
         vals = np.array([cache[phi] for phi in sorted(cache)])
-        total = vals.mean(axis=0) * 2.0 * math.pi
+        total = vals[:, :3].mean(axis=0) * 2.0 * math.pi
         if prev is not None:
             phi_err = float(np.abs(total[:2] - prev[:2]).sum())
             value = float(total[0] + total[1])
@@ -215,11 +177,11 @@ def lhs_integral(spec: NormSpec, p: float, n: int,
                 return LhsResult(value=value, error=full_err,
                                  term_first=float(total[0]), term_second=float(total[1]),
                                  n=n, p=p, spec_label=spec.label, phi_count=m,
-                                 x1_cut=moll.cut)
+                                 panels=int(vals[:, 3].sum()))
         prev = total
         m *= 2
         new_phis = [2.0 * math.pi * k / m for k in range(1, m, 2)]
-        cache.update(zip(new_phis, parallel_map(r_integral, new_phis)))
+        cache.update(zip(new_phis, parallel_map(theta_integral, new_phis)))
 
 
 def rhs_value(p: float, n: int, measure: SphericalMeasure) -> tuple[float, float]:
@@ -254,6 +216,8 @@ class DemoRow:
     n: int
     lhs: float
     lhs_err: float
+    phi_count: int
+    panels: int
     rhs: float | None = None
     lower_bound: float | None = None
 
@@ -270,8 +234,6 @@ class DemoReport:
     p: float
     rows: list[DemoRow]
     measure_atoms: int = 0
-    x1_cut_factor: float = X1_CUT_FACTOR
-    r_cut: float = R_CUT
 
     @property
     def max_rel_gap(self) -> float | None:
@@ -287,12 +249,11 @@ def demo_run(spec: NormSpec, p: float, n_list=(2, 4, 8, 16, 32),
     rows = []
     for n in n_list:
         lhs = lhs_integral(spec, p, n, rel_tol=rel_tol)
+        row = DemoRow(n=n, lhs=lhs.value, lhs_err=lhs.error,
+                      phi_count=lhs.phi_count, panels=lhs.panels)
         if measure is not None:
-            rhs, lower = rhs_value(p, n, measure)
-            rows.append(DemoRow(n=n, lhs=lhs.value, lhs_err=lhs.error,
-                                rhs=rhs, lower_bound=lower))
-        else:
-            rows.append(DemoRow(n=n, lhs=lhs.value, lhs_err=lhs.error))
+            row.rhs, row.lower_bound = rhs_value(p, n, measure)
+        rows.append(row)
     return DemoReport(spec_label=spec.label, p=p, rows=rows,
                       measure_atoms=measure.size if measure is not None else 0)
 
@@ -373,8 +334,6 @@ def demo_report_text(report: DemoReport) -> str:
     lines = [
         f"spec: {report.spec_label}",
         f"p: {_g17(report.p)}",
-        f"x1_cut: {_g17(report.x1_cut_factor)}/n",
-        f"r_cut: {_g17(report.r_cut)}",
         f"measure_atoms: {report.measure_atoms}",
     ]
     for row in report.rows:
@@ -382,5 +341,6 @@ def demo_report_text(report: DemoReport) -> str:
         if row.rhs is not None:
             extra = (f" rhs={_g17(row.rhs)} lower_bound={_g17(row.lower_bound)}"
                      f" rel_gap={_g17(row.rel_gap)}")
-        lines.append(f"n={row.n}: lhs={_g17(row.lhs)} lhs_err={_g17(row.lhs_err)}{extra}")
+        lines.append(f"n={row.n}: lhs={_g17(row.lhs)} lhs_err={_g17(row.lhs_err)}"
+                     f" phi_count={row.phi_count} panels={row.panels}{extra}")
     return "\n".join(lines) + "\n"

@@ -60,6 +60,12 @@ class TestCriterionCommand:
                 data = (tmp_path / name.removeprefix("file=")).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_x1_max_below_scan_floor_exits_2(self, tmp_path, capsys):
+        code = run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--x1-max", "5e-6",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "must exceed the scan floor 1e-5" in capsys.readouterr().err
+
     def test_csv_only_format(self, tmp_path):
         run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--format", "csv",
                  "--out", str(tmp_path)])
@@ -75,6 +81,13 @@ class TestLevyCommand:
         report = (tmp_path / "levy_lq-q-4-dim-2_1.txt").read_text()
         assert "interpretation: FeasibleEvidence" in report
         assert (tmp_path / "levy_lq-q-4-dim-2_1_measure.csv").exists()
+
+    @pytest.mark.parametrize("command", ["levy", "all"])
+    def test_unsupported_dim_exits_2(self, tmp_path, capsys, command):
+        code = run_cli([command, "--spec", "lq:q=4:dim=4", "--p", "1",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "supports dim [2, 3], got dim = 4" in capsys.readouterr().err
 
     def test_custom_levels(self, tmp_path):
         code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",
@@ -104,6 +117,8 @@ class TestDemoCommand:
         assert rows[0] == "n,lhs,lhs_err,rhs,lower_bound"
         assert rows[1].endswith(",,")      # no representing measure in play
         assert len(rows) == 6              # n in (2, 4, 8, 16, 32)
+        report = (tmp_path / "demo_lq-q-4-dim-3_0.5.txt").read_text().splitlines()
+        assert all(" phi_count=" in line and " panels=" in line for line in report[3:])
 
     def test_demo_rejects_p_outside_unit_interval(self, tmp_path):
         code = run_cli(["demo", "--spec", "lq:q=4:dim=3", "--p", "1.5",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import (continuum_rhs_euclidean, euclidean_pairing_limit,
-                        fourier_constant_reference, reduced_lhs_lq)
+                        fourier_constant_reference, reduced_lhs_lq, tensor_lhs)
 from levylab import mollifier
 from levylab.levy import SphericalMeasure, uniform_calibrated_measure
 from levylab.mollifier import (DemoReport, Mollifier, demo_csv,
@@ -155,10 +155,27 @@ class TestLhsIntegral:
         assert large.value < small.value
         assert large.value == pytest.approx(reduced_lhs_lq(6.0, 0.5, 16), rel=2e-5)
 
-    def test_truncation_bounds_recorded(self, lhs_cache):
-        res = lhs_cache[("l4", 8)]
-        assert res.x1_cut == pytest.approx(10.0 / 8.0)
-        assert res.r_cut == 12.0
+    def test_l4_matches_tensor_quadrature(self, lhs_cache):
+        # the unreduced triple integral: no homogeneity, no radial moment
+        assert lhs_cache[("l4", 2)].value == pytest.approx(tensor_lhs(L4, 0.5, 2), rel=2e-5)
+
+    def test_diagnostics_recorded(self, lhs_cache, monkeypatch):
+        for res in lhs_cache.values():
+            assert res.phi_count >= 2 * mollifier.PHI_START
+            # 21 seeded breakpoints: at least 22 theta panels per phi evaluated
+            assert res.panels >= 22 * res.phi_count
+        monkeypatch.setenv("LEVYLAB_THREADS", "3")
+        assert lhs_integral(L4, 0.5, 2) == lhs_cache[("l4", 2)]
+        monkeypatch.setenv("LEVYLAB_THREADS", "1")
+        assert lhs_integral(L4, 0.5, 2) == lhs_cache[("l4", 2)]
+
+    def test_pairing_below_five_percent_by_4096_at_rate_p(self, lhs_cache):
+        base = lhs_cache[("l4", 2)].value
+        ns = (1024, 2048, 4096)
+        values = [lhs_integral(L4, 0.5, n).value for n in ns]
+        assert values[-1] < 0.05 * base
+        slope = np.polyfit(np.log(ns), np.log(values), 1)[0]
+        assert abs(slope + 0.5) <= 0.05
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
