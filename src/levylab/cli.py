@@ -35,7 +35,7 @@ from . import levy
 from . import mollifier as moll
 from . import posdef
 from .derivatives import fd_d1, fd_d2, section_derivatives
-from .norms import NormSpec, SpecError, eval_norm, parse_spec
+from .norms import NormSpec, SpecError, eval_norm, g17, parse_spec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -105,10 +105,6 @@ def parse_levels(text: str):
     return levels
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _artifact_name(config: RunConfig, suffix: str, tag: str = "") -> str:
     base = f"{config.command}_{spec_slug(config.spec)}_{config.p:g}"
     return f"{base}{tag}.{suffix}"
@@ -163,9 +159,9 @@ def _run_derive(config: RunConfig, spec: NormSpec):
     for x in DERIVE_PROBES:
         pair = section_derivatives(spec, x)
         rows.append(
-            ",".join(_g17(c) for c in x)
-            + f",{_g17(eval_norm(spec, x))},{_g17(pair.d1)},{_g17(pair.d2)}"
-            + f",{_g17(fd_d1(spec, x))},{_g17(fd_d2(spec, x))}")
+            ",".join(g17(c) for c in x)
+            + f",{g17(eval_norm(spec, x))},{g17(pair.d1)},{g17(pair.d2)}"
+            + f",{g17(fd_d1(spec, x))},{g17(fd_d2(spec, x))}")
     artifacts = {_artifact_name(config, "csv"): "\n".join(rows) + "\n"}
     return artifacts, None, EXIT_OK
 

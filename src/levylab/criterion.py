@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import d1_d2_batch
-from .norms import NormSpec, OrliczFunction, subsphere_batch
+from .norms import NormSpec, OrliczFunction, g17, subsphere_batch
 from .parallel import parallel_map
 
 APPLIES = "Applies"
@@ -61,6 +61,21 @@ class CriterionReport:
     tol_i: float = DEFAULT_TOL_I
     tol_iii: float = DEFAULT_TOL_III
     assumptions: tuple[str, ...] = ASSUMPTIONS
+    analytic_flatness: FlatnessResult | None = None    # Orlicz specs only
+
+    @property
+    def disagreement(self) -> str:
+        """How the analytic Orlicz check contradicts a grid verdict ("" when
+        it does not, or when the grid test did not apply)."""
+        flat = self.analytic_flatness
+        if (flat is None or self.verdict == NOT_APPLICABLE
+                or flat.eligible == (self.verdict == APPLIES)):
+            return ""
+        if flat.eligible:
+            return ("the analytic check proves conditions I-III for this power "
+                    f"family, but the grid verdict is {self.verdict}")
+        return (f"the analytic check finds {'; '.join(flat.reasons)}, so condition I "
+                f"fails, but the grid verdict is {self.verdict}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +128,17 @@ def second_derivative_test(
     The supremum behind condition II is reduced to a compact scan plus a tail
     estimate: d2 is homogeneous of degree -1, so for x1 beyond the scan range
     d2(x1, y) = (1/x1) d2(1, y/x1), which is sampled over shrinking arguments.
+    For Orlicz specs the report also carries :func:`check_orlicz_flatness`,
+    and ``report.disagreement`` says when it contradicts the grid verdict.
     """
+    report = _grid_test(spec, theta_count, x1_max, tol_i, tol_iii)
+    if spec.kind == "orlicz":
+        report.analytic_flatness = check_orlicz_flatness(spec.orlicz)
+    return report
+
+
+def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
+               tol_i: float, tol_iii: float) -> CriterionReport:
     if theta_count < 8:
         raise ValueError(f"theta_count must be at least 8, got {theta_count}")
     if not x1_max > 1e-5:
@@ -249,30 +274,28 @@ def second_derivative_test(
     )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def report_text(report: CriterionReport) -> str:
     """Structured text serialization, field names matching the report."""
     lines = [
         f"spec: {report.spec_label}",
         f"verdict: {report.verdict}",
         f"reason: {report.reason}",
-        f"cond_i_max_d1: {_fmt(report.cond_i_max_d1)}",
-        f"cond_i_max_d2: {_fmt(report.cond_i_max_d2)}",
-        f"K_hat: {_fmt(report.k_hat)}",
-        f"K_hat_at_x1: {_fmt(report.k_hat_at_x1)}",
+        f"cond_i_max_d1: {g17(report.cond_i_max_d1)}",
+        f"cond_i_max_d2: {g17(report.cond_i_max_d2)}",
+        f"K_hat: {g17(report.k_hat)}",
+        f"K_hat_at_x1: {g17(report.k_hat_at_x1)}",
         f"theta_count: {report.theta_count}",
         f"x1_grid: {report.x1_grid}",
-        f"tol_i: {_fmt(report.tol_i)}",
-        f"tol_iii: {_fmt(report.tol_iii)}",
+        f"tol_i: {g17(report.tol_i)}",
+        f"tol_iii: {g17(report.tol_iii)}",
         f"decay_steps: {len(report.decay_profile)}",
     ]
+    flat = report.analytic_flatness
+    if flat is not None:
+        detail = ": " + "; ".join(flat.reasons) if flat.reasons else ""
+        lines.append(f"analytic_flatness: {flat.eligible} ({flat.note}{detail})")
+    if report.disagreement:
+        lines.append(f"disagreement: {report.disagreement}")
     lines += [f"assumption: {a}" for a in report.assumptions]
     return "\n".join(lines) + "\n"
 
@@ -280,5 +303,5 @@ def report_text(report: CriterionReport) -> str:
 def decay_profile_csv(report: CriterionReport) -> str:
     """CSV rows (x1, sup_theta d2) of the condition-III decay profile."""
     rows = ["x1,sup_d2"]
-    rows += [f"{_fmt(x1)},{_fmt(v)}" for x1, v in report.decay_profile]
+    rows += [f"{g17(x1)},{g17(v)}" for x1, v in report.decay_profile]
     return "\n".join(rows) + "\n"

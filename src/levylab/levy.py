@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, norm_batch
+from .norms import NormSpec, check_p, g17, norm_batch
 from .parallel import parallel_map
 
 FEASIBLE_RESIDUAL = 1e-3       # final residual below this (and decreasing) = feasible evidence
@@ -34,6 +34,8 @@ PLATEAU_REL_CHANGE = 0.10      # <10% residual change under 4x directions = plat
 LEVEL_DECREASE_SLACK = 1.05    # per-level residual may wiggle up by at most 5%
 NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
+NNLS_REFINE_STEPS = 1          # iterative-refinement steps per passive-set solve
+NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
 
 FEASIBLE = "FeasibleEvidence"
 INFEASIBLE = "InfeasibleEvidence"
@@ -89,9 +91,22 @@ class SphericalMeasure:
 
 @dataclass(frozen=True)
 class FeasibilityLevel:
+    """One solved level: its size, residual and NNLS diagnostics (``active``
+    counts the atoms with positive weight)."""
+
     direction_count: int
     sample_count: int
     relative_residual: float
+    iterations: int
+    active: int
+    converged: bool
+
+    @classmethod
+    def from_solution(cls, direction_count: int, sample_count: int,
+                      sol: NnlsSolution) -> FeasibilityLevel:
+        return cls(direction_count, sample_count, sol.relative_residual,
+                   sol.iterations, int(np.count_nonzero(sol.weights > 0.0)),
+                   sol.converged)
 
 
 @dataclass
@@ -172,15 +187,9 @@ def sample_norm_sphere(spec: NormSpec, count: int, rng: np.random.Generator) -> 
     return xs / norm_batch(spec, xs)[:, None]
 
 
-def _check_p(p: float, upper_inclusive: bool = True) -> None:
-    if not (0.0 < p <= 2.0 if upper_inclusive else 0.0 < p < 2.0):
-        rng_txt = "(0, 2]" if upper_inclusive else "(0, 2)"
-        raise ValueError(f"p must lie in {rng_txt}, got {p}")
-
-
 def assemble_moment_system(spec: NormSpec, p: float, samples, directions):
     """Matrix A[i, j] = |<x_i, xi_j>|^p and right-hand side b[i] = ||x_i||^p."""
-    _check_p(p)
+    check_p(p)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = norm_batch(spec, samples)
@@ -195,11 +204,25 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
                max_iter: int | None = None) -> NnlsSolution:
     """Minimize ||A w - b||_2 subject to w >= 0, Lawson-Hanson active set.
 
-    The passive-set subproblems are solved through cached normal-equation
-    columns (computed lazily, one matvec per entering column), which keeps
-    large feasible instances fast; the reported residual is evaluated
-    directly from A x - b so it is not limited by the squared conditioning
-    of the normal equations.
+    Each passive-set subproblem G_PP z = (A^T b)_P, with G = A^T A, is solved
+    through a factor W of the inverse, W W^T = G_PP^{-1} (the columns of W
+    are G_PP-orthonormal), which is updated as the passive set changes
+    instead of being rebuilt: an entering column appends one Gram-Schmidt
+    column to W (two matvecs), and a leaving column is swapped to the last
+    row and eliminated by one Householder reflection of W's columns. Both
+    updates cost O(k^2) for k passive columns, and no k x k block is copied
+    or refactorized. Each solve z = W W^T (A^T b)_P is followed by
+    NNLS_REFINE_STEPS step of iterative refinement against G_PP itself,
+    which brings the normal-equation residual to the rounding floor. An
+    entering column whose Schur complement is not above NNLS_DEPENDENT_TOL
+    of its squared norm lies numerically in the span of the passive
+    columns; it is passed over and the next-largest dual enters instead.
+
+    Gram columns are computed lazily, one matvec when a column first
+    enters, and stored column-major in entry order, so a problem whose
+    active set stays small never touches most of A^T A. The reported
+    residual is evaluated directly from A x - b, so it is not limited by
+    the squared conditioning of the normal equations.
 
     Deterministic for fixed input: the entering column is always the first
     index attaining the largest dual value. Hitting the iteration cap
@@ -218,14 +241,67 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     b_norm = float(np.linalg.norm(b))
 
     atb = A.T @ b
-    gram = np.zeros((n, n))
-    have_col = np.zeros(n, dtype=bool)
+    gram = np.empty((n, n), order="F")   # gram[:, s] = G[:, stored[s]]
+    stored = np.empty(n, dtype=np.intp)
+    slot = np.full(n, -1, dtype=np.intp)
+    basis = np.empty((n, n))             # W = basis[:k, :k], W W^T = inverse of G_PP
+    order = np.empty(n, dtype=np.intp)   # order[:k] = P in factor order
+    k = n_stored = 0
 
-    def gram_cols(idx: np.ndarray) -> None:
-        missing = idx[~have_col[idx]]
-        if len(missing):
-            gram[:, missing] = A.T @ A[:, missing]
-            have_col[missing] = True
+    def gram_col(j: int) -> np.ndarray:
+        nonlocal n_stored
+        if slot[j] < 0:
+            gram[:, n_stored] = A.T @ A[:, j]
+            stored[n_stored] = j
+            slot[j] = n_stored
+            n_stored += 1
+        return gram[:, slot[j]]
+
+    def gram_times(v: np.ndarray) -> np.ndarray:
+        """G v for v supported on stored columns."""
+        return gram[:, :n_stored] @ v[stored[:n_stored]]
+
+    def enter(j: int) -> bool:
+        nonlocal k
+        g = gram_col(j)
+        w_k = basis[:k, :k]
+        t = g[order[:k]] @ w_k
+        schur = g[j] - t @ t
+        if not schur > NNLS_DEPENDENT_TOL * g[j]:
+            return False
+        # Gram-Schmidt in the G_PP inner product: new column (e_j - W t) / rho
+        rho = math.sqrt(schur)
+        basis[:k, k] = (w_k @ t) / -rho
+        basis[k, :k] = 0.0
+        basis[k, k] = 1.0 / rho
+        order[k] = j
+        k += 1
+        return True
+
+    def leave(r: int) -> None:
+        nonlocal k
+        last = k - 1
+        order[[r, last]] = order[[last, r]]
+        basis[[r, last], :k] = basis[[last, r], :k]
+        # reflect W's columns so that its last row becomes a multiple of
+        # e_last; W W^T is unchanged, and dropping that row and column
+        # leaves the factor for the remaining columns
+        v = basis[last, :k].copy()
+        v[last] += math.copysign(float(np.linalg.norm(v)), v[last])
+        w_k = basis[:last, :k]
+        basis[:last, :last] -= np.multiply.outer(w_k @ v, v[:last] * (2.0 / (v @ v)))
+        k = last
+
+    def solve_passive() -> np.ndarray:
+        idx = order[:k]
+        w_k = basis[:k, :k]
+        rhs = atb[idx]
+        z = w_k @ (rhs @ w_k)
+        z_full = np.zeros(n)
+        for _ in range(NNLS_REFINE_STEPS):
+            z_full[idx] = z
+            z += w_k @ ((rhs - gram_times(z_full)[idx]) @ w_k)
+        return z
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -233,28 +309,23 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     iterations = 0
     converged = True
 
-    def solve_passive(idx: np.ndarray) -> np.ndarray:
-        gpp = gram[np.ix_(idx, idx)]
-        try:
-            return np.linalg.solve(gpp, atb[idx])
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(gpp, atb[idx], rcond=None)
-            return sol
-
     while True:
         candidates = ~passive & (w > dual_tol)
-        if not np.any(candidates):
+        while np.any(candidates):
+            j = int(np.argmax(np.where(candidates, w, -np.inf)))
+            if enter(j):
+                break
+            candidates[j] = False
+        else:
             break
-        masked = np.where(candidates, w, -np.inf)
-        passive[int(np.argmax(masked))] = True
+        passive[j] = True
         while True:
             iterations += 1
             if iterations > max_iter:
                 converged = False
                 break
-            idx = np.flatnonzero(passive)
-            gram_cols(idx)
-            z = solve_passive(idx)
+            idx = order[:k]
+            z = solve_passive()
             if np.all(z > 0.0):
                 x[:] = 0.0
                 x[idx] = z
@@ -267,16 +338,16 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
             xp = xp + alpha * (z - xp)
             x[:] = 0.0
             x[idx] = xp
-            drop = np.zeros(n, dtype=bool)
-            drop[idx] = xp <= 1e-14 * max(1.0, float(np.max(np.abs(xp))))
-            passive &= ~drop
+            drop = xp <= 1e-14 * max(1.0, float(np.max(np.abs(xp))))
+            for r in np.flatnonzero(drop)[::-1]:
+                passive[order[r]] = False
+                leave(int(r))
             x[~passive] = 0.0
-            if not np.any(passive):
+            if k == 0:
                 break
         if not converged:
             break
-        idx = np.flatnonzero(passive)
-        w = atb - gram[:, idx] @ x[idx]
+        w = atb - gram_times(x)
     resid = b - A @ x
     rel = float(np.linalg.norm(resid) / b_norm) if b_norm > 0.0 else 0.0
     return NnlsSolution(weights=x, relative_residual=rel,
@@ -285,7 +356,7 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
 
 def verify_measure(spec: NormSpec, p: float, measure: SphericalMeasure, test_points) -> float:
     """Max relative error of the representation over the test points."""
-    _check_p(p)
+    check_p(p)
     xs = np.atleast_2d(np.asarray(test_points, dtype=float))
     target = norm_batch(spec, xs) ** p
     if np.any(target == 0.0):
@@ -299,7 +370,7 @@ def uniform_calibrated_measure(p: float, count: int = 2048) -> SphericalMeasure:
     representation is exact at x = e1 (hence, by near-uniformity, accurate
     everywhere). This is the discrete stand-in for the rotation-invariant
     measure representing the Euclidean norm."""
-    _check_p(p)
+    check_p(p)
     dirs = direction_grid(3, count)
     mass = float((np.abs(dirs[:, 0]) ** p).sum())
     weights = np.full(count, 1.0 / mass)
@@ -321,7 +392,7 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     is Inconclusive. Thresholds are calibration constants and are recorded
     in the result.
     """
-    _check_p(p)
+    check_p(p)
     if spec.dim not in DEFAULT_LEVELS:
         raise ValueError(f"the moment problem supports dim {sorted(DEFAULT_LEVELS)}, "
                          f"got dim = {spec.dim}")
@@ -340,7 +411,7 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
         return solve_nnls(A, b)
 
     solutions = parallel_map(solve_level, list(zip(direction_sets, sample_sets)))
-    level_rows = [FeasibilityLevel(len(d), len(s), sol.relative_residual)
+    level_rows = [FeasibilityLevel.from_solution(len(d), len(s), sol)
                   for d, s, sol in zip(direction_sets, sample_sets, solutions)]
     residuals = np.array([row.relative_residual for row in level_rows])
     converged = all(sol.converged for sol in solutions)
@@ -359,8 +430,8 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
         elif np.all(residuals > PLATEAU_RESIDUAL):
             probe_dirs = direction_grid(spec.dim, 4 * levels[-1][0])
             probe_sol = solve_level((probe_dirs, sample_sets[-1]))
-            probe_row = FeasibilityLevel(len(probe_dirs), levels[-1][1],
-                                         probe_sol.relative_residual)
+            probe_row = FeasibilityLevel.from_solution(len(probe_dirs), levels[-1][1],
+                                                       probe_sol)
             if probe_sol.converged:
                 change = abs(probe_sol.relative_residual - residuals[-1]) / residuals[-1]
                 if change < PLATEAU_REL_CHANGE:
@@ -375,19 +446,15 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     )
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def feasibility_csv(result: FeasibilityResult) -> str:
     """CSV of (level, directions, samples, residual); the plateau probe, when
     present, is the last row with level tag 'probe'."""
     rows = ["level,directions,samples,relative_residual"]
     for i, lv in enumerate(result.levels):
-        rows.append(f"{i},{lv.direction_count},{lv.sample_count},{_g17(lv.relative_residual)}")
+        rows.append(f"{i},{lv.direction_count},{lv.sample_count},{g17(lv.relative_residual)}")
     if result.plateau_probe is not None:
         lv = result.plateau_probe
-        rows.append(f"probe,{lv.direction_count},{lv.sample_count},{_g17(lv.relative_residual)}")
+        rows.append(f"probe,{lv.direction_count},{lv.sample_count},{g17(lv.relative_residual)}")
     return "\n".join(rows) + "\n"
 
 
@@ -397,28 +464,28 @@ def measure_csv(measure: SphericalMeasure) -> str:
     header = ",".join(f"xi_{k + 1}" for k in range(dim)) + ",weight"
     rows = [header]
     for d, w in zip(measure.directions, measure.weights):
-        rows.append(",".join(_g17(c) for c in d) + f",{_g17(w)}")
+        rows.append(",".join(g17(c) for c in d) + f",{g17(w)}")
     return "\n".join(rows) + "\n"
 
 
 def feasibility_report_text(result: FeasibilityResult) -> str:
     lines = [
         f"spec: {result.spec_label}",
-        f"p: {_g17(result.p)}",
+        f"p: {g17(result.p)}",
         f"seed: {result.seed}",
         f"interpretation: {result.interpretation}",
         f"converged: {result.converged}",
-        f"feasible_threshold: {_g17(result.feasible_threshold)}",
-        f"plateau_threshold: {_g17(result.plateau_threshold)}",
-        f"plateau_rel_change: {_g17(result.plateau_rel_change)}",
+        f"feasible_threshold: {g17(result.feasible_threshold)}",
+        f"plateau_threshold: {g17(result.plateau_threshold)}",
+        f"plateau_rel_change: {g17(result.plateau_rel_change)}",
         f"best_measure_atoms: {result.best_measure.size}",
-        f"best_measure_mass: {_g17(result.best_measure.total_mass)}",
+        f"best_measure_mass: {g17(result.best_measure.total_mass)}",
     ]
-    for i, lv in enumerate(result.levels):
-        lines.append(f"level {i}: directions={lv.direction_count} samples={lv.sample_count} "
-                     f"residual={_g17(lv.relative_residual)}")
+    rows = [(f"level {i}", lv) for i, lv in enumerate(result.levels)]
     if result.plateau_probe is not None:
-        lv = result.plateau_probe
-        lines.append(f"probe: directions={lv.direction_count} samples={lv.sample_count} "
-                     f"residual={_g17(lv.relative_residual)}")
+        rows.append(("probe", result.plateau_probe))
+    for tag, lv in rows:
+        lines.append(f"{tag}: directions={lv.direction_count} samples={lv.sample_count} "
+                     f"residual={g17(lv.relative_residual)} iterations={lv.iterations} "
+                     f"active={lv.active} converged={lv.converged}")
     return "\n".join(lines) + "\n"

@@ -53,7 +53,7 @@ import numpy as np
 
 from .derivatives import d1_d2_norm_batch
 from .levy import SphericalMeasure, uniform_calibrated_measure
-from .norms import NormSpec
+from .norms import NormSpec, g17
 from .parallel import parallel_map
 from .quadrature import QuadratureError, integrate
 
@@ -316,31 +316,27 @@ def contradiction_report(spec: NormSpec, p: float, measure: SphericalMeasure,
     )
 
 
-def _g17(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
 def demo_csv(report: DemoReport) -> str:
     """CSV rows (n, lhs, lhs_err, rhs, lower_bound); Fourier-side columns are
     empty when no representing measure is in play."""
     rows = ["n,lhs,lhs_err,rhs,lower_bound"]
     for row in report.rows:
-        rows.append(f"{row.n},{_g17(row.lhs)},{_g17(row.lhs_err)},"
-                    f"{_g17(row.rhs)},{_g17(row.lower_bound)}")
+        rows.append(f"{row.n},{g17(row.lhs)},{g17(row.lhs_err)},"
+                    f"{g17(row.rhs)},{g17(row.lower_bound)}")
     return "\n".join(rows) + "\n"
 
 
 def demo_report_text(report: DemoReport) -> str:
     lines = [
         f"spec: {report.spec_label}",
-        f"p: {_g17(report.p)}",
+        f"p: {g17(report.p)}",
         f"measure_atoms: {report.measure_atoms}",
     ]
     for row in report.rows:
         extra = ""
         if row.rhs is not None:
-            extra = (f" rhs={_g17(row.rhs)} lower_bound={_g17(row.lower_bound)}"
-                     f" rel_gap={_g17(row.rel_gap)}")
-        lines.append(f"n={row.n}: lhs={_g17(row.lhs)} lhs_err={_g17(row.lhs_err)}"
+            extra = (f" rhs={g17(row.rhs)} lower_bound={g17(row.lower_bound)}"
+                     f" rel_gap={g17(row.rel_gap)}")
+        lines.append(f"n={row.n}: lhs={g17(row.lhs)} lhs_err={g17(row.lhs_err)}"
                      f" phi_count={row.phi_count} panels={row.panels}{extra}")
     return "\n".join(lines) + "\n"

@@ -350,6 +350,17 @@ def subsphere_batch(spec: NormSpec, thetas) -> np.ndarray:
     return cs / nrm[:, None]
 
 
+def g17(x) -> str:
+    """Artifact text of a number: 17 significant digits; None gives ""."""
+    return "" if x is None else format(float(x), ".17g")
+
+
+def check_p(p: float) -> None:
+    """Refuse exponents outside the embedding range 0 < p <= 2."""
+    if not 0.0 < p <= 2.0:
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+
+
 def _fmt_number(x: float) -> str:
     if x == math.inf:
         return "inf"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, norm_batch
+from .norms import NormSpec, check_p, g17, norm_batch
 from .parallel import parallel_map
 
 SCALE_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -51,11 +51,6 @@ class PsdWitness:
         return self.min_eigenvalue < WITNESS_EIG_FACTOR
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (0, 2], got {p}")
-
-
 def pairwise_norms(spec: NormSpec, points: np.ndarray) -> np.ndarray:
     """Symmetric matrix of ||x_i - x_j|| under ``spec``."""
     points = np.asarray(points, dtype=float)
@@ -66,7 +61,7 @@ def pairwise_norms(spec: NormSpec, points: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: NormSpec, p: float, points) -> np.ndarray:
     """G[i, j] = exp(-||x_i - x_j||^p); symmetric with unit diagonal."""
-    _check_p(p)
+    check_p(p)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dist = pairwise_norms(spec, points)
     if np.any(dist[~np.eye(len(points), dtype=bool)] == 0.0):
@@ -102,7 +97,7 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     A nonnegative best eigenvalue is a valid outcome (no witness found).
     Identical inputs reproduce the identical witness.
     """
-    _check_p(p)
+    check_p(p)
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
     if trials < 1:
@@ -148,31 +143,27 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
                       spec_label=spec.label, trials=trials)
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def witness_csv(witness: PsdWitness) -> str:
     """Point coordinates with a header carrying (spec, p, min_eigenvalue, seed)."""
     lines = [
-        f"# spec={witness.spec_label} p={_g17(witness.p)} "
-        f"min_eigenvalue={_g17(witness.min_eigenvalue)} seed={witness.seed}",
+        f"# spec={witness.spec_label} p={g17(witness.p)} "
+        f"min_eigenvalue={g17(witness.min_eigenvalue)} seed={witness.seed}",
         ",".join(f"x_{k + 1}" for k in range(witness.points.shape[1])),
     ]
     for row in witness.points:
-        lines.append(",".join(_g17(c) for c in row))
+        lines.append(",".join(g17(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
 def witness_report_text(witness: PsdWitness) -> str:
     lines = [
         f"spec: {witness.spec_label}",
-        f"p: {_g17(witness.p)}",
+        f"p: {g17(witness.p)}",
         f"seed: {witness.seed}",
         f"trials: {witness.trials}",
         f"n_points: {len(witness.points)}",
-        f"min_eigenvalue: {_g17(witness.min_eigenvalue)}",
+        f"min_eigenvalue: {g17(witness.min_eigenvalue)}",
         f"witness_found: {witness.found}",
-        f"threshold: {_g17(WITNESS_EIG_FACTOR)} * trace(G)/size",
+        f"threshold: {g17(WITNESS_EIG_FACTOR)} * trace(G)/size",
     ]
     return "\n".join(lines) + "\n"

@@ -66,6 +66,33 @@ class TestCriterionCommand:
         assert code == EXIT_CONFIG
         assert "must exceed the scan floor 1e-5" in capsys.readouterr().err
 
+    def test_orlicz_route_disagreement_reported(self, tmp_path):
+        # M(t) = t^2.0000001: M'(0) = M''(0) = 0 proves conditions I-III,
+        # while d2 decays like x1^1e-7, too slowly for the grid's ladder
+        code = run_cli(["criterion", "--spec", "orlicz:terms=1*t^2.0000001:dim=3",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = (tmp_path / "criterion_orlicz-terms-1-t-2-0000001-dim-3_1.txt").read_text()
+        assert "\nverdict: FailsConditionIII\n" in report
+        assert "\nanalytic_flatness: True (proved for power families)\n" in report
+        assert ("\ndisagreement: the analytic check proves conditions I-III for this "
+                "power family, but the grid verdict is FailsConditionIII\n") in report
+
+    @pytest.mark.parametrize("spec, flat_line", [
+        ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3",
+         "analytic_flatness: True (proved for power families)"),
+        ("lq:q=4:dim=3", None),
+    ])
+    def test_agreeing_routes_report_no_disagreement(self, tmp_path, spec, flat_line):
+        assert run_cli(["criterion", "--spec", spec, "--out", str(tmp_path)]) == EXIT_OK
+        report = (tmp_path / f"criterion_{spec_slug(spec)}_1.txt").read_text()
+        assert "verdict: Applies\n" in report
+        assert "disagreement:" not in report
+        if flat_line is None:
+            assert "analytic_flatness:" not in report
+        else:
+            assert f"\n{flat_line}\n" in report
+
     def test_csv_only_format(self, tmp_path):
         run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--format", "csv",
                  "--out", str(tmp_path)])

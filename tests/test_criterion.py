@@ -123,6 +123,20 @@ class TestFlatnessShortcut:
             report = cr.second_derivative_test(NormSpec.orlicz_norm(fn, 3))
             assert report.verdict == cr.APPLIES
 
+    def test_disagreement_reported_in_both_directions(self):
+        quadratic = cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 2)]))
+        flat = cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 4)]))
+        applies = cr.CriterionReport("x", cr.APPLIES, analytic_flatness=quadratic)
+        assert "M''(0) = 2" in applies.disagreement
+        assert "grid verdict is Applies" in cr.report_text(applies)
+        fails = cr.CriterionReport("x", cr.FAILS_III, analytic_flatness=flat)
+        assert "proves conditions I-III" in fails.disagreement
+        for verdict, fn in ((cr.FAILS_I, quadratic), (cr.APPLIES, flat),
+                            (cr.NOT_APPLICABLE, flat)):
+            report = cr.CriterionReport("x", verdict, analytic_flatness=fn)
+            assert report.disagreement == ""
+            assert "disagreement:" not in cr.report_text(report)
+
 
 class TestSerialization:
     def test_report_text_fields(self, reports):

@@ -7,7 +7,8 @@ from scipy.optimize import nnls as scipy_nnls
 from levylab import levy
 from levylab.levy import (SphericalMeasure,
                           assemble_moment_system, circle_directions,
-                          direction_grid, feasibility_csv, feasibility_scan,
+                          direction_grid, feasibility_csv,
+                          feasibility_report_text, feasibility_scan,
                           fibonacci_sphere, measure_csv, sample_norm_sphere,
                           solve_nnls, to_hemisphere, uniform_calibrated_measure,
                           verify_measure)
@@ -100,6 +101,67 @@ class TestNnls:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             solve_nnls(np.array([[np.nan]]), np.array([1.0]))
+
+    def test_euclidean_level_matches_reference_solver(self):
+        # the finest Euclidean level at p = 1: about 1,050 iterations that
+        # grow the passive set to about 950 columns
+        xs = sample_norm_sphere(EUC, 2048, np.random.default_rng(0))
+        A, b = assemble_moment_system(EUC, 1.0, xs, direction_grid(3, 1024))
+        mine = solve_nnls(A, b)
+        w_ref, r_ref = scipy_nnls(A, b)
+        assert mine.converged
+        assert mine.relative_residual == pytest.approx(
+            r_ref / np.linalg.norm(b), rel=1e-8)
+        assert np.count_nonzero(mine.weights) == np.count_nonzero(w_ref)
+
+    @pytest.mark.parametrize("dual_tol", [levy.NNLS_DUAL_TOL, 0.0])
+    @pytest.mark.parametrize("extra", ["duplicate", "zero"])
+    def test_rank_deficient_columns(self, extra, dual_tol):
+        # dual_tol = 0 lets the duplicate's rounding-level dual select it
+        # after its twin entered; it must be passed over, not factored
+        rng = np.random.default_rng(13)
+        A = rng.random((50, 12))
+        M = np.column_stack([A, A[:, 3] if extra == "duplicate" else np.zeros(50)])
+        for b in (2.0 * A[:, 3] + 0.3 * rng.random(50), rng.standard_normal(50),
+                  A @ rng.random(12)):
+            sol = solve_nnls(M, b, dual_tol=dual_tol)
+            _, r_ref = scipy_nnls(M, b)
+            assert sol.converged
+            assert np.all(sol.weights >= 0.0)
+            assert sol.relative_residual == pytest.approx(
+                r_ref / np.linalg.norm(b), abs=1e-12)
+            assert sol.weights[3] == 0.0 or sol.weights[12] == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_removals_match_reference_solver(self, seed):
+        # a 200 x 80 moment-type block, whose solve removes columns one at a
+        # time, beside a 3 x 3 block whose third column, entering last,
+        # drives the first two to zero in the same step (exactly, by
+        # symmetry): 2 entries + 1 step + 1 re-solve = 4 iterations
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, 3))
+        R = np.abs(X @ rng.standard_normal((80, 3)).T)
+        r_rhs = np.sum(X ** 4, axis=1) ** 0.25
+        alone = solve_nnls(R, r_rhs)
+        assert alone.iterations > np.count_nonzero(alone.weights)   # columns left
+        A = np.zeros((203, 83))
+        A[:3, :3] = [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 0.1]]
+        A[3:, 3:] = R
+        b = np.concatenate([np.ones(3), r_rhs])
+        mine = solve_nnls(A, b)
+        w_ref, r_ref = scipy_nnls(A, b)
+        assert mine.iterations == alone.iterations + 4
+        np.testing.assert_allclose(mine.weights[:3], [0.0, 0.0, 50.0 / 9.0], rtol=1e-14)
+        assert mine.relative_residual == pytest.approx(
+            r_ref / np.linalg.norm(b), abs=1e-12)
+        np.testing.assert_allclose(mine.weights, w_ref, atol=1e-9)
+
+    def test_repeat_calls_bit_identical(self):
+        xs = sample_norm_sphere(L4, 512, np.random.default_rng(21))
+        A, b = assemble_moment_system(L4, 1.0, xs, direction_grid(3, 256))
+        first, second = solve_nnls(A, b), solve_nnls(A, b)
+        assert first.weights.tobytes() == second.weights.tobytes()
+        assert first.iterations == second.iterations
 
 
 class TestDirections:
@@ -231,6 +293,25 @@ class TestSerialization:
         lines = feasibility_csv(res).strip().split("\n")
         assert lines[0] == "level,directions,samples,relative_residual"
         assert len(lines) == 1 + len(res.levels) + (res.plateau_probe is not None)
+
+    def test_report_carries_nnls_diagnostics(self, monkeypatch):
+        texts = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("LEVYLAB_THREADS", threads)
+            res = feasibility_scan(L4, 1.0, levels=[(32, 128), (128, 256)], seed=7)
+            texts.append(feasibility_report_text(res))
+        assert texts[0] == texts[1]
+        rows = res.levels + [res.plateau_probe]
+        lines = [ln for ln in texts[0].splitlines() if ln.startswith(("level ", "probe:"))]
+        assert len(lines) == len(rows) == 3
+        for lv, line in zip(rows, lines):
+            assert lv.converged
+            assert 0 < lv.active <= lv.direction_count
+            assert lv.iterations >= lv.active
+            assert line.endswith(f" iterations={lv.iterations} active={lv.active} "
+                                 "converged=True")
+        assert feasibility_csv(res).splitlines()[0] == \
+            "level,directions,samples,relative_residual"
 
     def test_measure_csv_round_numbers(self):
         mu = SphericalMeasure(directions=np.eye(3), weights=np.array([1.0, 0.5, 2.0]))
