@@ -15,7 +15,7 @@ CSV uses '.' decimals, 17 significant digits, and LF line endings, so a
 rerun with the same config is byte-identical.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
-non-convergence or a cross-module conflict.
+non-convergence or failure, or a conflict between routes.
 
 The environment variable LEVYLAB_THREADS caps internal parallelism
 (0 or unset = automatic).
@@ -27,14 +27,14 @@ import argparse
 import hashlib
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import criterion as crit
 from . import levy
 from . import mollifier as moll
 from . import posdef
-from .derivatives import fd_d1, fd_d2, section_derivatives
+from .derivatives import DerivativeError, fd_d1, fd_d2, section_derivatives
 from .norms import NormSpec, SpecError, eval_norm, g17, parse_spec
 from .quadrature import QuadratureError
 
@@ -110,7 +110,7 @@ def _artifact_name(config: RunConfig, suffix: str, tag: str = "") -> str:
     return f"{base}{tag}.{suffix}"
 
 
-def _run_criterion(config: RunConfig, spec: NormSpec):
+def _run_criterion(config: RunConfig, spec: NormSpec, banner: list):
     report = crit.second_derivative_test(spec, theta_count=config.theta_count,
                                          x1_max=config.x1_max)
     artifacts = {
@@ -120,7 +120,7 @@ def _run_criterion(config: RunConfig, spec: NormSpec):
     return artifacts, report, EXIT_OK
 
 
-def _run_levy(config: RunConfig, spec: NormSpec):
+def _run_levy(config: RunConfig, spec: NormSpec, banner: list):
     result = levy.feasibility_scan(spec, config.p,
                                    levels=parse_levels(config.levels),
                                    seed=config.seed)
@@ -133,7 +133,7 @@ def _run_levy(config: RunConfig, spec: NormSpec):
     return artifacts, result, status
 
 
-def _run_posdef(config: RunConfig, spec: NormSpec):
+def _run_posdef(config: RunConfig, spec: NormSpec, banner: list):
     witness = posdef.witness_search(spec, config.p, n_points=config.points,
                                     trials=config.trials, seed=config.seed)
     artifacts = {
@@ -143,7 +143,7 @@ def _run_posdef(config: RunConfig, spec: NormSpec):
     return artifacts, witness, EXIT_OK
 
 
-def _run_demo(config: RunConfig, spec: NormSpec):
+def _run_demo(config: RunConfig, spec: NormSpec, banner: list):
     report = moll.demo_run(spec, config.p)
     artifacts = {
         _artifact_name(config, "csv"): moll.demo_csv(report),
@@ -152,7 +152,7 @@ def _run_demo(config: RunConfig, spec: NormSpec):
     return artifacts, report, EXIT_OK
 
 
-def _run_derive(config: RunConfig, spec: NormSpec):
+def _run_derive(config: RunConfig, spec: NormSpec, banner: list):
     if spec.dim != 3:
         raise SpecError("derive probes require dim = 3")
     rows = ["x1,x2,x3,norm,d1,d2,fd_d1,fd_d2"]
@@ -166,9 +166,55 @@ def _run_derive(config: RunConfig, spec: NormSpec):
     return artifacts, None, EXIT_OK
 
 
+def _run_all(config: RunConfig, spec: NormSpec, banner: list):
+    artifacts: dict[str, str] = {}
+    results = {}
+    status = EXIT_OK
+    commands = ["criterion", "levy", "posdef"]
+    if 0.0 < config.p < 1.0 and spec.dim == 3 and spec.smooth_in_x1:
+        commands.append("demo")
+    else:
+        banner.append("note: demo skipped (needs dim 3, smooth sections, and 0 < p < 1)")
+    for command in commands:
+        runner, _ = COMMANDS[command]
+        arts, results[command], sub_status = runner(replace(config, command=command),
+                                                    spec, banner)
+        artifacts.update(arts)
+        status = max(status, sub_status)
+
+    crit_report, levy_result = results["criterion"], results["levy"]
+    conflict = []
+    if crit_report.disagreement:
+        conflict.append(f"criterion routes disagree: {crit_report.disagreement}")
+    if crit_report.verdict == crit.APPLIES and levy_result.interpretation == levy.FEASIBLE:
+        conflict.append("criterion verdict Applies yet the moment problem reports "
+                        "FeasibleEvidence")
+    if results["posdef"].found and levy_result.interpretation == levy.FEASIBLE:
+        conflict.append("a negative-eigenvalue witness exists yet the moment problem "
+                        "reports FeasibleEvidence")
+    if conflict:
+        banner.append("CONFLICT: " + "; ".join(conflict))
+        status = EXIT_NUMERICAL
+    return artifacts, results, status
+
+
+# command -> (runner, default --p); each runner returns (artifacts, result, exit status)
+COMMANDS = {
+    "criterion": (_run_criterion, 1.0),
+    "levy": (_run_levy, 1.0),
+    "posdef": (_run_posdef, 1.5),
+    "demo": (_run_demo, 0.5),
+    "all": (_run_all, 0.5),
+    "derive": (_run_derive, 1.0),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one config; writes artifacts plus manifest.txt, returns the
     exit code."""
+    if config.command not in COMMANDS:
+        print(f"unknown command {config.command!r}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         spec = parse_spec(config.spec)
     except SpecError as exc:
@@ -180,73 +226,20 @@ def run(config: RunConfig) -> int:
         print(f"invalid levels: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    artifacts: dict[str, str] = {}
     banner: list[str] = []
-    status = EXIT_OK
+    runner, _ = COMMANDS[config.command]
     try:
-        if config.command == "criterion":
-            arts, _, status = _run_criterion(config, spec)
-            artifacts.update(arts)
-        elif config.command == "levy":
-            arts, _, status = _run_levy(config, spec)
-            artifacts.update(arts)
-        elif config.command == "posdef":
-            arts, _, status = _run_posdef(config, spec)
-            artifacts.update(arts)
-        elif config.command == "demo":
-            arts, _, status = _run_demo(config, spec)
-            artifacts.update(arts)
-        elif config.command == "derive":
-            arts, _, status = _run_derive(config, spec)
-            artifacts.update(arts)
-        elif config.command == "all":
-            status = _run_all(config, spec, artifacts, banner)
-        else:
-            print(f"unknown command {config.command!r}", file=sys.stderr)
-            return EXIT_CONFIG
+        artifacts, _, status = runner(config, spec, banner)
     except (SpecError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except (QuadratureError, DerivativeError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     _write_artifacts(config, artifacts, banner, status)
     for line in banner:
         print(line, file=sys.stderr)
-    return status
-
-
-def _run_all(config: RunConfig, spec: NormSpec, artifacts: dict, banner: list) -> int:
-    from dataclasses import replace
-
-    status = EXIT_OK
-    arts, crit_report, _ = _run_criterion(replace(config, command="criterion"), spec)
-    artifacts.update(arts)
-
-    arts, levy_result, levy_status = _run_levy(replace(config, command="levy"), spec)
-    artifacts.update(arts)
-    status = max(status, levy_status)
-
-    arts, witness, _ = _run_posdef(replace(config, command="posdef"), spec)
-    artifacts.update(arts)
-
-    if 0.0 < config.p < 1.0 and spec.dim == 3 and spec.smooth_in_x1:
-        arts, _, _ = _run_demo(replace(config, command="demo"), spec)
-        artifacts.update(arts)
-    else:
-        banner.append("note: demo skipped (needs dim 3, smooth sections, and 0 < p < 1)")
-
-    conflict = []
-    if crit_report.verdict == crit.APPLIES and levy_result.interpretation == levy.FEASIBLE:
-        conflict.append("criterion verdict Applies yet the moment problem reports "
-                        "FeasibleEvidence")
-    if witness.found and levy_result.interpretation == levy.FEASIBLE:
-        conflict.append("a negative-eigenvalue witness exists yet the moment problem "
-                        "reports FeasibleEvidence")
-    if conflict:
-        banner.append("CONFLICT: " + "; ".join(conflict))
-        status = EXIT_NUMERICAL
     return status
 
 
@@ -291,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="formats", default="csv,structured-report",
                         help="comma subset of {csv, structured-report}")
 
-    for name, default_p in (("criterion", 1.0), ("levy", 1.0), ("posdef", 1.5),
-                            ("demo", 0.5), ("all", 0.5), ("derive", 1.0)):
+    for name, (_, default_p) in COMMANDS.items():
         add_common(subs.add_parser(name), default_p)
     return parser
 

@@ -31,9 +31,10 @@ FD_STEP_FLOOR = 1e-5
 
 
 class DerivativeError(RuntimeError):
-    """Internal inconsistency: the implicit-differentiation denominator
-    vanished at a point with (x2, x3) != 0, which a valid convex power
-    combination cannot produce (M'(t) > 0 for t > 0)."""
+    """The implicit-differentiation denominator vanished or overflowed at a
+    point with (x2, x3) != 0. In exact arithmetic a valid convex power
+    combination cannot produce this (M'(t) > 0 for t > 0); in floating point
+    an exponent near the largest float overflows M'."""
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,6 @@ def _pow2_scale(ax: np.ndarray) -> np.ndarray:
     return np.exp2(np.round(np.log2(safe)))
 
 
-def _power_orlicz_norm(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
-    """Norm of nonnegative rows; single-term M(t) = t^q has the l_q closed form."""
-    if len(fn.terms) == 1:
-        q = fn.terms[0][1]
-        m = ax.max(axis=1)
-        safe = np.where(m > 0.0, m, 1.0)
-        out = safe * ((ax / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
-        return np.where(m > 0.0, out, 0.0)
-    return norm_batch(NormSpec(kind="orlicz", dim=ax.shape[1], orlicz=fn), ax)
-
-
 def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (d1, d2, ||x||) for an (m, 3) array of points, (x2, x3) != 0."""
     xs = np.asarray(xs, dtype=float)
@@ -71,12 +61,13 @@ def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np
         raise ValueError("points with (x2, x3) = (0, 0) are outside the smooth region")
     scale = _pow2_scale(ax)
     ax = ax / scale[:, None]
-    nrm = _power_orlicz_norm(fn, ax)
+    nrm = norm_batch(NormSpec(kind="orlicz", dim=3, orlicz=fn), ax)
     u = ax / nrm[:, None]
     mp = fn.deriv(u)
     denom_lin = (ax * mp).sum(axis=1)
     if np.any(denom_lin <= 0.0) or np.any(~np.isfinite(denom_lin)):
-        raise DerivativeError("denominator sum x_k M'(x_k/||x||) vanished off the x1-axis")
+        raise DerivativeError("denominator sum x_k M'(x_k/||x||) vanished or overflowed "
+                              "off the x1-axis")
     d1 = nrm * mp[:, 0] / denom_lin
     mpp = fn.deriv2(u)
     num = ((nrm - ax[:, 0] * d1) ** 2 * mpp[:, 0]

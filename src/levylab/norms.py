@@ -3,7 +3,9 @@
 An Orlicz norm here is the Luxemburg-type functional: the unique s > 0 with
 sum_k M(|x_k| / s) = 1, where M is a convex power combination
 M(t) = sum_i a_i t^{q_i} with a_i >= 0 and q_i >= 1, normalized so M(1) = 1
-(which makes the standard basis vectors have unit norm). Restricting M to
+(which makes the standard basis vectors have unit norm). ``norm_batch``
+finds s by monotone Newton steps started at s = max_k |x_k|; a single-term
+M(t) = t^q takes the l_q closed form instead. Restricting M to
 power combinations keeps M' and M'' exact analytic expressions, which the
 derivative formulas downstream require.
 
@@ -23,8 +25,7 @@ import numpy as np
 
 MIN_DIM = 2
 MAX_DIM = 8
-ORLICZ_EQ_TOL = 1e-12       # tolerance on |sum M(|x_k|/s) - 1| at the returned s
-ORLICZ_MAX_ITER = 200
+ORLICZ_MAX_ITER = 200       # cap on the Newton steps of one row
 
 
 class SpecError(ValueError):
@@ -73,7 +74,12 @@ class OrliczFunction:
             merged[exp] = merged.get(exp, 0.0) + coef
         if not merged:
             raise OrliczError("at least one term with a positive coefficient is required")
-        total = math.fsum(merged.values())
+        try:
+            total = math.fsum(merged.values())
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise OrliczError("the coefficients sum to more than the largest float")
         if abs(total - 1.0) <= 4 * np.finfo(float).eps:
             scale = 1.0
         else:
@@ -257,7 +263,12 @@ def eval_norm(spec: NormSpec, x) -> float:
 
 
 def norm_batch(spec: NormSpec, xs) -> np.ndarray:
-    """Row-wise norms of an (m, dim) array. Vectorized for every norm kind."""
+    """Row-wise norms of an (m, dim) array. Vectorized for every norm kind.
+
+    l_q norms and single-term Orlicz functions (M(t) = t^q after the
+    M(1) = 1 normalization) take the closed form; other Orlicz norms are
+    solved by monotone Newton steps (``_luxemburg_batch``).
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != spec.dim:
         raise ValueError(f"expected an (m, {spec.dim}) array, got shape {xs.shape}")
@@ -266,67 +277,48 @@ def norm_batch(spec: NormSpec, xs) -> np.ndarray:
     ax = np.abs(xs)
     if spec.kind == "euclidean":
         return np.sqrt((xs * xs).sum(axis=1))
-    if spec.kind == "lq":
-        if spec.q == math.inf:
-            return ax.max(axis=1)
-        # factor out the max to dodge overflow for large entries
-        m = ax.max(axis=1)
-        safe = np.where(m > 0.0, m, 1.0)
-        out = safe * ((ax / safe[:, None]) ** spec.q).sum(axis=1) ** (1.0 / spec.q)
-        return np.where(m > 0.0, out, 0.0)
-    _validate_orlicz_terms(spec.orlicz)
-    return _luxemburg_batch(spec.orlicz, ax)
+    if spec.kind == "orlicz":
+        _validate_orlicz_terms(spec.orlicz)
+        if len(spec.orlicz.terms) > 1:
+            return _luxemburg_batch(spec.orlicz, ax)
+        q = spec.orlicz.min_exponent    # M(t) = t^q: the l_q norm
+    else:
+        q = spec.q
+    if q == math.inf:
+        return ax.max(axis=1)
+    # factor out the max to dodge overflow for large entries
+    m = ax.max(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    out = safe * ((ax / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
+    return np.where(m > 0.0, out, 0.0)
 
 
 def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
-    """Solve sum_k M(|x_k| / s) = 1 row-wise by bisection.
+    """Solve sum_k M(|x_k| / s) = 1 row-wise by monotone Newton steps.
 
-    sum_k M(|x_k| / s) is strictly decreasing in s, and the bracket
-    [max_k |x_k|, sum_k |x_k|] always contains the root: at the lower end the
-    largest ratio is 1 so the sum is >= M(1) = 1, while at the upper end the
-    ratios sum to 1 and convexity with M(0) = 0 gives M(u) <= u there.
+    f(s) = sum_k M(|x_k| / s) - 1 is convex and decreasing in s, and
+    f(max_k |x_k|) >= M(1) - 1 = 0, so Newton's method started at
+    s = max_k |x_k| rises to the root without overshooting. With u = |x| / s
+    the step is s <- s + f(s) s / sum_k u_k M'(u_k). A row stops at its
+    first step that does not increase s, which in floating point means it
+    has reached the root; each row iterates alone, so its value does not
+    depend on the rest of the batch.
     """
     out = np.zeros(len(ax))
-    live = ax.max(axis=1) > 0.0
-    if not np.any(live):
-        return out
-    rows = ax[live]
-    lo = rows.max(axis=1).copy()
-    hi = rows.sum(axis=1).copy()
-
-    def residual(s):
-        return fn.value(rows / s[:, None]).sum(axis=1) - 1.0
-
-    # degenerate bracket (single nonzero coordinate): s = max|x_k| exactly
-    s = lo.copy()
-    done = np.abs(residual(lo)) <= ORLICZ_EQ_TOL
+    coefs, exps = fn._arrays()
+    active = np.flatnonzero(ax.max(axis=1) > 0.0)
+    out[active] = ax[active].max(axis=1)
     for _ in range(ORLICZ_MAX_ITER):
-        if np.all(done):
+        if len(active) == 0:
             break
-        mid = 0.5 * (lo + hi)
-        g = residual(mid)
-        hit = np.abs(g) <= ORLICZ_EQ_TOL
-        s = np.where(hit & ~done, mid, s)
-        go_up = (g > 0.0) & ~hit & ~done
-        go_dn = (g < 0.0) & ~hit & ~done
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_dn, mid, hi)
-        done |= hit
-    # rows whose bracket collapsed before hitting the tolerance keep the midpoint
-    s = np.where(done, s, 0.5 * (lo + hi))
-    # Newton polish: bisection stops at |residual| <= 1e-12, but downstream
-    # second differences need the norm at machine precision. The residual is
-    # smooth and strictly decreasing in s, so a couple of guarded Newton
-    # steps finish the job.
-    for _ in range(3):
-        u = rows / s[:, None]
-        g = fn.value(u).sum(axis=1) - 1.0
-        slope = -(u * fn.deriv(u)).sum(axis=1) / s
-        step = np.where(slope != 0.0, g / slope, 0.0)
-        s_new = s - step
-        ok = (s_new > 0.5 * s) & (s_new < 2.0 * s) & np.isfinite(s_new)
-        s = np.where(ok, s_new, s)
-    out[live] = s
+        s = out[active]
+        powers = (ax[active] / s[:, None])[..., None] ** exps
+        f = (coefs * powers).sum(axis=-1).sum(axis=1) - 1.0
+        slope = (coefs * exps * powers).sum(axis=-1).sum(axis=1)   # sum_k u_k M'(u_k)
+        s_new = s + f * s / slope
+        rising = s_new > s
+        active = active[rising]
+        out[active] = s_new[rising]
     return out
 
 

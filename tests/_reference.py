@@ -4,13 +4,14 @@ Everything here reaches the target quantities by a route the library does
 not take: scipy adaptive quadrature on an analytically reduced form of the
 mollified pairing, the full 3D tensor quadrature of the same pairing (no
 reduction at all), the continuum (non-discretized) Fourier-side moment for
-the Euclidean norm, and scipy's own special functions and NNLS.
+the Euclidean norm, scipy's own special functions and NNLS, and scipy's
+brentq on the Luxemburg equation of an Orlicz norm.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gamma as _gamma
 
 from levylab.derivatives import d1_d2_norm_batch
@@ -132,3 +133,28 @@ def euclidean_pairing_limit(p: float) -> float:
                  * fourier_constant_reference(p) / (2.0 * math.pi))
     moment = _gamma(1.5) * _gamma(p / 2.0) / _gamma((p + 3.0) / 2.0)
     return prefactor * (p + 1.0) * 0.5 * moment
+
+
+def luxemburg_norm(terms, x) -> float:
+    """The Orlicz norm of x for M(t) = sum a t^q (raw terms, normalized here
+    to M(1) = 1): scipy's brentq on sum_k M(|x_k| / (m s)) = 1 over the
+    bracket [1, sum_k |x_k| / m], m = max_k |x_k|, and ||x|| = m s."""
+    total = math.fsum(a for a, _ in terms)
+    terms = [(a / total, q) for a, q in terms]
+    ax = [abs(float(v)) for v in x]
+    m = max(ax)
+    if m == 0.0:
+        return 0.0
+    ratios = [v / m for v in ax if v > 0.0]
+
+    def residual(s):
+        return math.fsum(a * (r / s) ** q for r in ratios for a, q in terms) - 1.0
+
+    lo, hi = 1.0, math.fsum(ratios)
+    if residual(lo) <= 0.0:
+        return m
+    if residual(hi) >= 0.0:     # one ratio with M(1) rounded above 1, or M linear
+        return m * hi
+    root = optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                           maxiter=500)
+    return m * root

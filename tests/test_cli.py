@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from levylab import cli
 from levylab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main,
@@ -26,6 +28,13 @@ class TestParsing:
     def test_bad_spec_exits_2(self, tmp_path):
         assert run_cli(["criterion", "--spec", "lq:q=0.5:dim=3",
                         "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_command_table_drives_parser_and_dispatch(self, tmp_path):
+        parser = cli.build_parser()
+        for name, (_, default_p) in cli.COMMANDS.items():
+            assert parser.parse_args([name, "--spec", "lq:q=4:dim=3"]).p == default_p
+        assert cli.run(cli.RunConfig(command="bogus", spec="lq:q=4:dim=3",
+                                     out=str(tmp_path))) == EXIT_CONFIG
 
     def test_bad_format_exits_2(self, tmp_path):
         assert run_cli(["criterion", "--spec", "lq:q=4:dim=3",
@@ -206,6 +215,18 @@ class TestConflictDetection:
         assert "CONFLICT" in manifest
 
 
+    def test_all_raises_route_disagreement_to_conflict(self, tmp_path, capsys):
+        spec = "orlicz:terms=1*t^2.0000001:dim=3"
+        code = run_cli(["all", "--spec", spec, "--p", "1", "--levels", "8:16",
+                        "--trials", "20", "--points", "5", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        banner = ("CONFLICT: criterion routes disagree: the analytic check proves "
+                  "conditions I-III for this power family, but the grid verdict is "
+                  "FailsConditionIII")
+        assert f"\n{banner}\n" in (tmp_path / "manifest.txt").read_text()
+        assert banner in capsys.readouterr().err
+
+
 class TestEnvVar:
     def test_invalid_thread_env_rejected(self, monkeypatch):
         from levylab.parallel import worker_count
@@ -219,3 +240,34 @@ class TestEnvVar:
         assert worker_count() >= 1
         monkeypatch.setenv("LEVYLAB_THREADS", "3")
         assert worker_count() == 3
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),                      # includes nan, inf, -inf, 1e+308
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-0", "1e-320", "2.0000001",
+                     "1000", "1e300", "", "abc", "1e308"]),
+)
+DIM_TEXT = st.one_of(st.integers(-2, 12).map(str),
+                     st.sampled_from(["", "3.5", "x", "1e3", "99999999999999999999"]))
+TERMS_TEXT = st.lists(st.tuples(NUMBER_TEXT, NUMBER_TEXT), min_size=1, max_size=3).map(
+    lambda terms: "+".join(f"{c}*t^{e}" for c, e in terms))
+SPEC_TEXT = st.one_of(
+    st.builds("lq:q={}:dim={}".format, NUMBER_TEXT, DIM_TEXT),
+    st.builds("euclidean:dim={}".format, DIM_TEXT),
+    st.builds("orlicz:terms={}:dim={}".format, TERMS_TEXT, DIM_TEXT),
+    st.text(alphabet="lqorliczeuclidan:=*t^+-.0123456789", max_size=40),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=SPEC_TEXT)
+    @example(spec="orlicz:terms=1e308*t^3+1e308*t^5:dim=3")    # coefficient sum overflows
+    @example(spec="orlicz:terms=1*t^1e308+1*t^1e308:dim=3")    # M' overflows
+    def test_every_spec_ends_in_a_documented_exit_code(self, tmp_path, spec):
+        for command in ("criterion", "derive", "posdef"):
+            config = cli.RunConfig(command=command, spec=spec, theta_count=8, trials=2,
+                                   points=3, out=str(tmp_path))
+            assert cli.run(config) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

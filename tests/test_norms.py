@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import luxemburg_norm
 from levylab.norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
                            eval_norm, format_spec, norm_batch, parse_spec,
                            subsphere_point, validate_orlicz)
@@ -74,6 +75,43 @@ class TestOrliczVsClosedForm:
         a = norm_batch(NormSpec.lq(q, 3), xs)
         b = norm_batch(NormSpec.orlicz_norm([(1.0, float(q))], 3), xs)
         assert np.max(np.abs(a - b) / a) <= 1e-10
+
+
+class TestOrliczSolveOracle:
+    TERMS = [
+        [(0.3, 1.0), (0.7, 4.0)],                   # linear term: M'(0) > 0
+        [(0.5, 1.5), (0.5, 3.0)],                   # exponent in (1, 2)
+        [(0.9, 2.0000001), (0.1, 8.0)],
+        [(0.5, 2.5), (0.5, 1000.0)],
+        [(0.2, 1.0), (0.3, 1.3), (0.5, 1000.0)],
+        [(1.0, 8.0)],                               # single term: l_8 closed form
+    ]
+
+    @staticmethod
+    def rows(dim: int) -> np.ndarray:
+        rng = np.random.default_rng(dim)
+        base = rng.standard_normal((12, dim))
+        single = np.zeros((dim, dim))
+        single[np.arange(dim), np.arange(dim)] = rng.uniform(0.5, 2.0, dim)
+        equal = np.full((2, dim), 0.7)
+        equal[1] *= -3.0
+        sparse = base[:4] * (np.arange(dim) % 2 == 0)
+        xs = np.vstack([np.zeros((2, dim)), base, single, equal, sparse])
+        return np.vstack([xs, xs[2:] * 1e200, xs[2:] * 1e-200])
+
+    @pytest.mark.parametrize("terms", TERMS, ids=lambda t: "+".join(f"t^{q:.8g}" for _, q in t))
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_brentq_reference(self, terms, dim):
+        spec = NormSpec.orlicz_norm(terms, dim)
+        xs = self.rows(dim)
+        got = norm_batch(spec, xs)
+        ref = np.array([luxemburg_norm(terms, x) for x in xs])
+        zero = ~np.any(xs != 0.0, axis=1)
+        assert np.all(got[zero] == 0.0) and np.all(got[~zero] > 0.0)
+        assert np.max(np.abs(got[~zero] - ref[~zero]) / ref[~zero]) <= 1e-14
+        # a row's value does not depend on the rest of its batch
+        alone = np.array([norm_batch(spec, x[None, :])[0] for x in xs])
+        assert np.array_equal(alone, got)
 
 
 class TestNormAxioms:
