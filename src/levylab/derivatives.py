@@ -31,10 +31,9 @@ FD_STEP_FLOOR = 1e-5
 
 
 class DerivativeError(RuntimeError):
-    """The implicit-differentiation denominator vanished or overflowed at a
-    point with (x2, x3) != 0. In exact arithmetic a valid convex power
-    combination cannot produce this (M'(t) > 0 for t > 0); in floating point
-    an exponent near the largest float overflows M'."""
+    """Internal inconsistency: the implicit-differentiation denominator
+    vanished at a point with (x2, x3) != 0, which a valid convex power
+    combination cannot produce (M'(t) > 0 for t > 0)."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np
     mp = fn.deriv(u)
     denom_lin = (ax * mp).sum(axis=1)
     if np.any(denom_lin <= 0.0) or np.any(~np.isfinite(denom_lin)):
-        raise DerivativeError("denominator sum x_k M'(x_k/||x||) vanished or overflowed "
-                              "off the x1-axis")
+        raise DerivativeError("denominator sum x_k M'(x_k/||x||) vanished off the x1-axis")
     d1 = nrm * mp[:, 0] / denom_lin
     mpp = fn.deriv2(u)
     num = ((nrm - ax[:, 0] * d1) ** 2 * mpp[:, 0]

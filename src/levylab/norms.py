@@ -2,12 +2,12 @@
 
 An Orlicz norm here is the Luxemburg-type functional: the unique s > 0 with
 sum_k M(|x_k| / s) = 1, where M is a convex power combination
-M(t) = sum_i a_i t^{q_i} with a_i >= 0 and q_i >= 1, normalized so M(1) = 1
-(which makes the standard basis vectors have unit norm). ``norm_batch``
-finds s by monotone Newton steps started at s = max_k |x_k|; a single-term
-M(t) = t^q takes the l_q closed form instead. Restricting M to
-power combinations keeps M' and M'' exact analytic expressions, which the
-derivative formulas downstream require.
+M(t) = sum_i a_i t^{q_i} with a_i >= 0 and 1 <= q_i <= MAX_EXPONENT,
+normalized so M(1) = 1 (which makes the standard basis vectors have unit
+norm). ``norm_batch`` finds s by monotone Newton steps started at
+s = max_k |x_k|; a single-term M(t) = t^q takes the l_q closed form
+instead. Restricting M to power combinations keeps M' and M'' exact
+analytic expressions, which the derivative formulas downstream require.
 
 Spec strings use the grammar (also documented in the cli module):
 
@@ -26,6 +26,10 @@ import numpy as np
 MIN_DIM = 2
 MAX_DIM = 8
 ORLICZ_MAX_ITER = 200       # cap on the Newton steps of one row
+# Largest Orlicz exponent: one ulp of u moves u^q by a factor of at most
+# e^(q eps) ~ e^0.22, so double-precision powers (and the Newton solve)
+# stay accurate; M' and M'' stay finite on [0, 1].
+MAX_EXPONENT = 1e15
 
 
 class SpecError(ValueError):
@@ -69,6 +73,9 @@ class OrliczFunction:
                 raise OrliczError(f"negative coefficient {coef}")
             if exp < 1:
                 raise OrliczError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
+            if exp > MAX_EXPONENT:
+                raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
+                                  "beyond double-precision powers")
             if coef == 0:
                 continue
             merged[exp] = merged.get(exp, 0.0) + coef
@@ -77,9 +84,7 @@ class OrliczFunction:
         try:
             total = math.fsum(merged.values())
         except OverflowError:
-            total = math.inf
-        if not math.isfinite(total):
-            raise OrliczError("the coefficients sum to more than the largest float")
+            raise OrliczError("the coefficients sum to more than the largest float") from None
         if abs(total - 1.0) <= 4 * np.finfo(float).eps:
             scale = 1.0
         else:
@@ -246,8 +251,9 @@ def _validate_orlicz_terms(fn: OrliczFunction) -> None:
     if not fn.terms:
         raise OrliczError("empty term list")
     for coef, exp in fn.terms:
-        if coef < 0 or exp < 1:
-            raise OrliczError(f"invalid term {coef}*t^{exp} (convexity check failed)")
+        if coef < 0 or not 1 <= exp <= MAX_EXPONENT:
+            raise OrliczError(f"invalid term {coef}*t^{exp} (convexity or exponent "
+                              "check failed)")
     if abs(fn.value(1.0) - 1.0) > 1e-12:
         raise OrliczError(f"M(1) = {fn.value(1.0)!r} != 1; construct via OrliczFunction.from_terms")
 
@@ -300,9 +306,11 @@ def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
     f(max_k |x_k|) >= M(1) - 1 = 0, so Newton's method started at
     s = max_k |x_k| rises to the root without overshooting. With u = |x| / s
     the step is s <- s + f(s) s / sum_k u_k M'(u_k). A row stops at its
-    first step that does not increase s, which in floating point means it
-    has reached the root; each row iterates alone, so its value does not
-    depend on the rest of the batch.
+    first step that does not increase s: the step is then below half an ulp
+    of s, and since exponents are at most MAX_EXPONENT the slope changes by
+    at most a factor e^0.22 across one ulp, so the root lies within about
+    an ulp. Each row iterates alone, so its value does not depend on the
+    rest of the batch.
     """
     out = np.zeros(len(ax))
     coefs, exps = fn._arrays()

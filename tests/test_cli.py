@@ -36,6 +36,13 @@ class TestParsing:
         assert cli.run(cli.RunConfig(command="bogus", spec="lq:q=4:dim=3",
                                      out=str(tmp_path))) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["criterion", "derive", "posdef"])
+    def test_exponent_beyond_double_precision_exits_2(self, tmp_path, capsys, command):
+        code = run_cli([command, "--spec", "orlicz:terms=1*t^2+1*t^1e300:dim=3",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "exceeds 1e+15" in capsys.readouterr().err
+
     def test_bad_format_exits_2(self, tmp_path):
         assert run_cli(["criterion", "--spec", "lq:q=4:dim=3",
                         "--format", "pdf", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -265,7 +272,7 @@ class TestFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=SPEC_TEXT)
     @example(spec="orlicz:terms=1e308*t^3+1e308*t^5:dim=3")    # coefficient sum overflows
-    @example(spec="orlicz:terms=1*t^1e308+1*t^1e308:dim=3")    # M' overflows
+    @example(spec="orlicz:terms=1*t^1e308+1*t^1e308:dim=3")    # exponent above the cap
     def test_every_spec_ends_in_a_documented_exit_code(self, tmp_path, spec):
         for command in ("criterion", "derive", "posdef"):
             config = cli.RunConfig(command=command, spec=spec, theta_count=8, trials=2,

@@ -84,6 +84,7 @@ class TestOrliczSolveOracle:
         [(0.9, 2.0000001), (0.1, 8.0)],
         [(0.5, 2.5), (0.5, 1000.0)],
         [(0.2, 1.0), (0.3, 1.3), (0.5, 1000.0)],
+        [(0.5, 2.0), (0.5, 1e15)],                  # largest accepted exponent
         [(1.0, 8.0)],                               # single term: l_8 closed form
     ]
 
@@ -112,6 +113,19 @@ class TestOrliczSolveOracle:
         # a row's value does not depend on the rest of its batch
         alone = np.array([norm_batch(spec, x[None, :])[0] for x in xs])
         assert np.array_equal(alone, got)
+
+    @pytest.mark.parametrize("terms", [[(1.0, 2.0), (1.0, 1e300)],
+                                       [(0.5, 2.0), (0.5, 1e20)],
+                                       [(0.5, 2.0), (0.5, 1.0000001e15)]])
+    def test_exponents_beyond_double_precision_refused(self, terms):
+        # a Newton step from s = max|x_k| on equal coordinates would round
+        # away (for 1e300 the norm of (1, 1, 1) would read 1, not sqrt(1.5))
+        with pytest.raises(SpecError, match="exceeds"):
+            NormSpec.orlicz_norm(terms, 3)
+        total = sum(a for a, _ in terms)
+        built = OrliczFunction(terms=tuple((a / total, q) for a, q in terms))
+        with pytest.raises(SpecError):
+            eval_norm(NormSpec(kind="orlicz", dim=3, orlicz=built), (1.0, 1.0, 1.0))
 
 
 class TestNormAxioms:
