@@ -16,9 +16,6 @@ rerun with the same config is byte-identical.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
 non-convergence or failure, or a conflict between routes.
-
-The environment variable LEVYLAB_THREADS caps internal parallelism
-(0 or unset = automatic).
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ import numpy as np
 
 from .derivatives import d1_d2_batch
 from .norms import NormSpec, OrliczFunction, g17, subsphere_batch
-from .parallel import parallel_map
 
 APPLIES = "Applies"
 FAILS_I = "FailsConditionI"
@@ -170,15 +169,14 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
         """sup-ready d2 grid: rows = x1 values, columns = tube points."""
         blocks = np.array_split(np.asarray(x1_values, dtype=float),
                                 max(1, len(x1_values) // 16))
-
-        def one_block(block):
+        rows = []
+        for block in blocks:     # 16 x1 values per batch bounds peak memory
             pts = np.concatenate([
                 np.column_stack([np.full(len(tube), x1), tube]) for x1 in block
             ])
             _, d2 = d1_d2_batch(fn, pts)
-            return d2.reshape(len(block), len(tube))
-
-        return np.concatenate(parallel_map(one_block, blocks))
+            rows.append(d2.reshape(len(block), len(tube)))
+        return np.concatenate(rows)
 
     # condition I: derivatives at x1 = 0 over the theta grid
     zero_pts = np.column_stack([np.zeros(len(tube)), tube])

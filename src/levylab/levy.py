@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormSpec, check_p, g17, norm_batch
-from .parallel import parallel_map
 
 FEASIBLE_RESIDUAL = 1e-3       # final residual below this (and decreasing) = feasible evidence
 PLATEAU_RESIDUAL = 1e-2        # residual above this at every level is plateau territory
@@ -405,12 +404,11 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     sample_sets = [sample_norm_sphere(spec, s, rng) for _, s in levels]
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]
 
-    def solve_level(args):
-        dirs, samples = args
+    def solve_level(dirs, samples):
         A, b = assemble_moment_system(spec, p, samples, dirs)
         return solve_nnls(A, b)
 
-    solutions = parallel_map(solve_level, list(zip(direction_sets, sample_sets)))
+    solutions = [solve_level(d, s) for d, s in zip(direction_sets, sample_sets)]
     level_rows = [FeasibilityLevel.from_solution(len(d), len(s), sol)
                   for d, s, sol in zip(direction_sets, sample_sets, solutions)]
     residuals = np.array([row.relative_residual for row in level_rows])
@@ -429,7 +427,7 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
             interpretation = FEASIBLE
         elif np.all(residuals > PLATEAU_RESIDUAL):
             probe_dirs = direction_grid(spec.dim, 4 * levels[-1][0])
-            probe_sol = solve_level((probe_dirs, sample_sets[-1]))
+            probe_sol = solve_level(probe_dirs, sample_sets[-1])
             probe_row = FeasibilityLevel.from_solution(len(probe_dirs), levels[-1][1],
                                                        probe_sol)
             if probe_sol.converged:

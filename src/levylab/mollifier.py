@@ -54,12 +54,13 @@ import numpy as np
 from .derivatives import d1_d2_norm_batch
 from .levy import SphericalMeasure, uniform_calibrated_measure
 from .norms import NormSpec, g17
-from .parallel import parallel_map
 from .quadrature import QuadratureError, integrate
 
 PHI_START = 16
 PHI_MAX = 256
-DEFAULT_REL_TOL = 1e-4
+LHS_REL_TOL = 1e-4
+MEASURE_ATOMS = 2048           # calibrated uniform measure of the Euclidean Fourier side
+IDENTITY_GAP_TOL = 2e-2
 
 
 def fourier_constant(p: float) -> float:
@@ -97,10 +98,10 @@ class Mollifier:
         out = (self.n / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * (x1 * self.n) ** 2)
         return float(out) if out.ndim == 0 else out
 
-    def mass(self, rel_tol: float = 1e-12) -> float:
+    def mass(self) -> float:
         """Quadrature of h_n over |x1| <= 12/n (missed tails < 1e-31)."""
         top = 12.0 / self.n
-        res = integrate(self.h, 0.0, top, rel_tol=rel_tol,
+        res = integrate(self.h, 0.0, top, rel_tol=1e-12,
                         breakpoints=[top * 2.0 ** -k for k in range(1, 8)])
         return 2.0 * res.scalar
 
@@ -127,10 +128,9 @@ class LhsResult:
     panels: int               # inner theta panels, summed over every phi evaluated
 
 
-def lhs_integral(spec: NormSpec, p: float, n: int,
-                 rel_tol: float = DEFAULT_REL_TOL) -> LhsResult:
+def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
     """<G, phi_n> by the reduced 2D quadrature; raises QuadratureError if
-    the a-posteriori error estimate cannot be brought below rel_tol."""
+    the a-posteriori error estimate cannot be brought below LHS_REL_TOL."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1) for the mollified pairing, got {p}")
     if spec.dim != 3:
@@ -159,8 +159,7 @@ def lhs_integral(spec: NormSpec, p: float, n: int,
         return np.array([res.value[0], res.value[1], res.error, res.panels])
 
     m = PHI_START
-    phis = 2.0 * math.pi * np.arange(m) / m
-    cache = dict(zip(phis.tolist(), parallel_map(theta_integral, phis.tolist())))
+    cache = {phi: theta_integral(phi) for phi in (2.0 * math.pi * np.arange(m) / m).tolist()}
     prev = None
     while True:
         vals = np.array([cache[phi] for phi in sorted(cache)])
@@ -169,10 +168,10 @@ def lhs_integral(spec: NormSpec, p: float, n: int,
             phi_err = float(np.abs(total[:2] - prev[:2]).sum())
             value = float(total[0] + total[1])
             full_err = phi_err + float(total[2])
-            if full_err <= rel_tol * max(abs(value), 1e-300) or m >= PHI_MAX:
-                if full_err > rel_tol * abs(value):
+            if full_err <= LHS_REL_TOL * max(abs(value), 1e-300) or m >= PHI_MAX:
+                if full_err > LHS_REL_TOL * abs(value):
                     raise QuadratureError(
-                        f"error estimate {full_err:.3e} exceeds {rel_tol:g} * |{value:.6e}| "
+                        f"error estimate {full_err:.3e} exceeds {LHS_REL_TOL:g} * |{value:.6e}| "
                         f"at phi_count = {m}")
                 return LhsResult(value=value, error=full_err,
                                  term_first=float(total[0]), term_second=float(total[1]),
@@ -180,8 +179,8 @@ def lhs_integral(spec: NormSpec, p: float, n: int,
                                  panels=int(vals[:, 3].sum()))
         prev = total
         m *= 2
-        new_phis = [2.0 * math.pi * k / m for k in range(1, m, 2)]
-        cache.update(zip(new_phis, parallel_map(theta_integral, new_phis)))
+        cache.update({phi: theta_integral(phi)
+                      for phi in [2.0 * math.pi * k / m for k in range(1, m, 2)]})
 
 
 def rhs_value(p: float, n: int, measure: SphericalMeasure) -> tuple[float, float]:
@@ -241,14 +240,13 @@ class DemoReport:
         return max(gaps) if gaps else None
 
 
-def demo_run(spec: NormSpec, p: float, n_list=(2, 4, 8, 16, 32),
-             measure_count: int = 2048, rel_tol: float = DEFAULT_REL_TOL) -> DemoReport:
+def demo_run(spec: NormSpec, p: float, n_list=(2, 4, 8, 16, 32)) -> DemoReport:
     """Mollified-pairing sweep over n; for the Euclidean norm the Fourier
     side is evaluated against the calibrated uniform measure as well."""
-    measure = uniform_calibrated_measure(p, measure_count) if spec.kind == "euclidean" else None
+    measure = uniform_calibrated_measure(p, MEASURE_ATOMS) if spec.kind == "euclidean" else None
     rows = []
     for n in n_list:
-        lhs = lhs_integral(spec, p, n, rel_tol=rel_tol)
+        lhs = lhs_integral(spec, p, n)
         row = DemoRow(n=n, lhs=lhs.value, lhs_err=lhs.error,
                       phi_count=lhs.phi_count, panels=lhs.panels)
         if measure is not None:
@@ -258,19 +256,17 @@ def demo_run(spec: NormSpec, p: float, n_list=(2, 4, 8, 16, 32),
                       measure_atoms=measure.size if measure is not None else 0)
 
 
-def identity_check(p: float, n_list=(4, 8, 16, 32), measure_count: int = 2048,
-                   rel_gap_tol: float = 2e-2) -> DemoReport:
+def identity_check(p: float, n_list=(4, 8, 16, 32)) -> DemoReport:
     """Both routes to the pairing for the Euclidean norm must agree within
-    rel_gap_tol for every n; raises AssertionError otherwise. This is the
+    IDENTITY_GAP_TOL for every n; raises AssertionError otherwise. This is the
     end-to-end numerical validation of the Fourier-side closed form."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    report = demo_run(NormSpec.euclidean(3), p, n_list=n_list,
-                      measure_count=measure_count)
+    report = demo_run(NormSpec.euclidean(3), p, n_list=n_list)
     gap = report.max_rel_gap
-    if gap is None or gap > rel_gap_tol:
+    if gap is None or gap > IDENTITY_GAP_TOL:
         raise AssertionError(
-            f"identity check failed: max relative gap {gap} exceeds {rel_gap_tol}")
+            f"identity check failed: max relative gap {gap} exceeds {IDENTITY_GAP_TOL}")
     return report
 
 

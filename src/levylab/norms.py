@@ -263,8 +263,6 @@ def eval_norm(spec: NormSpec, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError(f"expected a vector of length {spec.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input vector")
     return float(norm_batch(spec, x[None, :])[0])
 
 
@@ -331,16 +329,15 @@ def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
 
 
 def subsphere_point(spec: NormSpec, theta: float) -> tuple[float, float]:
-    """The point (cos t, sin t) rescaled so ||x2 e2 + x3 e3|| = 1 (dim 3 only)."""
-    if spec.dim != 3:
-        raise SpecError(f"subsphere_point requires dim = 3, got dim = {spec.dim}")
-    c, s = math.cos(theta), math.sin(theta)
-    nrm = eval_norm(spec, (0.0, c, s))
-    return (c / nrm, s / nrm)
+    """One row of ``subsphere_batch``: the point (cos t, sin t) rescaled so
+    ||x2 e2 + x3 e3|| = 1 (dim 3 only)."""
+    x2, x3 = subsphere_batch(spec, [theta])[0]
+    return (float(x2), float(x3))
 
 
 def subsphere_batch(spec: NormSpec, thetas) -> np.ndarray:
-    """Vectorized ``subsphere_point``: returns an (m, 2) array."""
+    """The points (cos t, sin t) rescaled so ||x2 e2 + x3 e3|| = 1 (dim 3
+    only): an (m, 2) array."""
     if spec.dim != 3:
         raise SpecError(f"subsphere_batch requires dim = 3, got dim = {spec.dim}")
     thetas = np.asarray(thetas, dtype=float)

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormSpec, check_p, g17, norm_batch
-from .parallel import parallel_map
 
 SCALE_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0)
 REFINE_STEPS = 200
 REFINE_STEP_FRACTION = 0.1
 WITNESS_EIG_FACTOR = -1e-8     # threshold: min_eig < factor * trace(G)/size
-SEARCH_CHUNKS = 16             # fixed chunk count keeps results worker-independent
+SEARCH_CHUNKS = 16             # fixed seeded streams; changing it changes every witness
 SYMMETRY_TOL = 1e-12
 
 
@@ -42,6 +41,7 @@ class PsdWitness:
     seed: int
     spec_label: str = ""
     trials: int = 0
+    eigenproblems: int = 0     # kernel eigenvalue problems the search solved
 
     @property
     def found(self) -> bool:
@@ -105,23 +105,16 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     chunks = min(SEARCH_CHUNKS, trials)
     sizes = [trials // chunks + (1 if c < trials % chunks else 0) for c in range(chunks)]
 
-    def run_chunk(chunk_idx: int):
+    best_lam, best_points, best_scale = np.inf, None, None
+    for chunk_idx, size in enumerate(sizes):
         rng = np.random.default_rng([seed, chunk_idx])
-        best = (np.inf, None, None)
-        for _ in range(sizes[chunk_idx]):
+        for _ in range(size):
             cloud = rng.standard_normal((n_points, spec.dim))
             dist = pairwise_norms(spec, cloud)
             for scale in SCALE_SWEEP:
                 lam = _scaled_kernel_eig(dist, p, scale)
-                if lam < best[0]:
-                    best = (lam, cloud * scale, scale)
-        return best
-
-    results = parallel_map(run_chunk, range(chunks))
-    best_lam, best_points, best_scale = min(
-        (res for res in results if res[1] is not None),
-        key=lambda res: res[0],
-    )
+                if lam < best_lam:
+                    best_lam, best_points, best_scale = lam, cloud * scale, scale
 
     # coordinate-descent refinement on the winning (already scaled) cloud
     rng = np.random.default_rng([seed, 0x5EED])
@@ -140,7 +133,8 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
 
     lam = min_eigenvalue(kernel_matrix(spec, p, points))
     return PsdWitness(points=points, p=p, min_eigenvalue=lam, seed=seed,
-                      spec_label=spec.label, trials=trials)
+                      spec_label=spec.label, trials=trials,
+                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS + 1)
 
 
 def witness_csv(witness: PsdWitness) -> str:
@@ -161,6 +155,7 @@ def witness_report_text(witness: PsdWitness) -> str:
         f"p: {g17(witness.p)}",
         f"seed: {witness.seed}",
         f"trials: {witness.trials}",
+        f"eigenproblems: {witness.eigenproblems}",
         f"n_points: {len(witness.points)}",
         f"min_eigenvalue: {g17(witness.min_eigenvalue)}",
         f"witness_found: {witness.found}",

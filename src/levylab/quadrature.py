@@ -61,6 +61,7 @@ _G7_WEIGHTS = np.array([
 _G7_SLICE = slice(1, 15, 2)
 
 PANEL_NODES = len(_K15_NODES)
+MAX_ROUNDS = 40
 
 
 class QuadratureError(RuntimeError):
@@ -100,9 +101,8 @@ def panel_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     return kron, err
 
 
-def integrate(f, a: float, b: float, rel_tol: float = 1e-8, abs_tol: float = 0.0,
-              breakpoints=None, max_panels: int = 4096,
-              max_rounds: int = 40) -> QuadResult:
+def integrate(f, a: float, b: float, rel_tol: float = 1e-8,
+              breakpoints=None, max_panels: int = 4096) -> QuadResult:
     """Adaptive integral of a vectorized (possibly vector-valued) integrand.
 
     ``f(x)`` maps an (N,) array to (N,) or (N, k). ``breakpoints`` seeds the
@@ -126,9 +126,9 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-8, abs_tol: float = 0.0
         return panel_sums(vals, lo_arr, hi_arr)
 
     kron, err = evaluate(lo, hi)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         total = kron.sum(axis=0)
-        target = max(abs_tol, rel_tol * float(np.abs(total).sum()))
+        target = rel_tol * float(np.abs(total).sum())
         total_err = float(err.sum())
         if total_err <= target or len(lo) >= max_panels:
             break
@@ -152,6 +152,6 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-8, abs_tol: float = 0.0
 
     total = kron.sum(axis=0)
     total_err = float(err.sum())
-    target = max(abs_tol, rel_tol * float(np.abs(total).sum()))
+    target = rel_tol * float(np.abs(total).sum())
     return QuadResult(value=total, error=total_err, panels=len(lo),
                       converged=total_err <= target)

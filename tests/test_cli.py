@@ -189,17 +189,6 @@ class TestDeterminism:
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_worker_count_invariant(self, tmp_path, monkeypatch):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        argv = ["posdef", "--spec", "lq:q=4:dim=3", "--p", "1.5",
-                "--trials", "100", "--points", "8", "--seed", "1"]
-        monkeypatch.setenv("LEVYLAB_THREADS", "1")
-        run_cli(argv + ["--out", str(out_a)])
-        monkeypatch.setenv("LEVYLAB_THREADS", "6")
-        run_cli(argv + ["--out", str(out_b)])
-        for name in sorted(f.name for f in out_a.iterdir()):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
 
 class TestConflictDetection:
     def test_fabricated_conflict_reports(self, tmp_path, monkeypatch):
@@ -232,21 +221,6 @@ class TestConflictDetection:
                   "FailsConditionIII")
         assert f"\n{banner}\n" in (tmp_path / "manifest.txt").read_text()
         assert banner in capsys.readouterr().err
-
-
-class TestEnvVar:
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        from levylab.parallel import worker_count
-        monkeypatch.setenv("LEVYLAB_THREADS", "banana")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("LEVYLAB_THREADS", "-2")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("LEVYLAB_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("LEVYLAB_THREADS", "3")
-        assert worker_count() == 3
 
 
 NUMBER_TEXT = st.one_of(

@@ -159,14 +159,12 @@ class TestLhsIntegral:
         # the unreduced triple integral: no homogeneity, no radial moment
         assert lhs_cache[("l4", 2)].value == pytest.approx(tensor_lhs(L4, 0.5, 2), rel=2e-5)
 
-    def test_diagnostics_recorded(self, lhs_cache, monkeypatch):
+    def test_diagnostics_recorded(self, lhs_cache):
         for res in lhs_cache.values():
             assert res.phi_count >= 2 * mollifier.PHI_START
             # 21 seeded breakpoints: at least 22 theta panels per phi evaluated
             assert res.panels >= 22 * res.phi_count
-        monkeypatch.setenv("LEVYLAB_THREADS", "3")
         assert lhs_integral(L4, 0.5, 2) == lhs_cache[("l4", 2)]
-        monkeypatch.setenv("LEVYLAB_THREADS", "1")
         assert lhs_integral(L4, 0.5, 2) == lhs_cache[("l4", 2)]
 
     def test_pairing_below_five_percent_by_4096_at_rate_p(self, lhs_cache):

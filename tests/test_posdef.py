@@ -1,11 +1,16 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levylab import posdef
 from levylab.norms import NormSpec
-from levylab.posdef import (kernel_matrix, min_eigenvalue, pairwise_norms,
-                            witness_csv, witness_search)
+from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, kernel_matrix, min_eigenvalue,
+                            pairwise_norms, witness_csv, witness_report_text,
+                            witness_search)
 
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
@@ -15,6 +20,21 @@ L4_2 = NormSpec.lq(4, 2)
 # 10^4 trials); searches are deterministic so these are exact reruns
 L4_P15_WITNESS = -0.17273939268404315
 L4_2_P15_WITNESS = -0.04387238781869016
+
+
+class _EigenCountingNumpy:
+    """numpy for ``posdef`` whose eigvalsh counts the matrices it solves."""
+
+    def __init__(self):
+        self.solved = 0
+        self.linalg = SimpleNamespace(eigvalsh=self._eigvalsh)
+
+    def _eigvalsh(self, a, *args, **kwargs):
+        self.solved += math.prod(np.shape(a)[:-2])
+        return np.linalg.eigvalsh(a, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 class TestKernel:
@@ -125,12 +145,12 @@ class TestWitnessSearch:
         assert a.min_eigenvalue == b.min_eigenvalue
         assert witness_csv(a) == witness_csv(b)
 
-    def test_worker_count_does_not_change_result(self, monkeypatch):
-        monkeypatch.setenv("LEVYLAB_THREADS", "1")
-        a = witness_search(L4, 1.5, n_points=10, trials=100, seed=9)
-        monkeypatch.setenv("LEVYLAB_THREADS", "5")
-        b = witness_search(L4, 1.5, n_points=10, trials=100, seed=9)
-        assert np.array_equal(a.points, b.points)
+    def test_eigenproblems_counts_every_kernel_solve(self, monkeypatch):
+        counting = _EigenCountingNumpy()
+        monkeypatch.setattr(posdef, "np", counting)
+        w = witness_search(L4, 1.5, n_points=6, trials=7, seed=3)
+        assert w.eigenproblems == counting.solved == 7 * len(SCALE_SWEEP) + REFINE_STEPS + 1
+        assert f"\neigenproblems: {w.eigenproblems}\n" in witness_report_text(w)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
