@@ -12,7 +12,8 @@ Subcommands: criterion, levy, posdef, demo, all, derive. Artifacts are
 written to --out as <command>_<spec-slug>_<p>.{csv,txt}; a manifest.txt
 lists every artifact with its sha256 and echoes the effective config.
 CSV uses '.' decimals, 17 significant digits, and LF line endings, so a
-rerun with the same config is byte-identical.
+rerun with the same config is byte-identical. --timings prints each
+route's wall time to stderr and changes no artifact.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
 non-convergence or failure, or a conflict between routes.
@@ -24,6 +25,7 @@ import argparse
 import hashlib
 import re
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,6 +66,7 @@ class RunConfig:
     points: int = 20
     out: str = "."
     formats: tuple[str, ...] = FORMATS
+    timings: bool = False      # stderr only: never echoed, never in an artifact
 
     def echo_lines(self) -> list[str]:
         return [
@@ -163,30 +166,46 @@ def _run_derive(config: RunConfig, spec: NormSpec, banner: list):
     return artifacts, None, EXIT_OK
 
 
+def _run_route(config: RunConfig, spec: NormSpec, banner: list):
+    """Run one command; with --timings a route's wall time goes to stderr
+    (``all`` reports each of its routes instead of itself)."""
+    runner, _ = COMMANDS[config.command]
+    start = time.perf_counter()
+    outcome = runner(config, spec, banner)
+    if config.timings and config.command != "all":
+        print(f"timing: {config.command} {time.perf_counter() - start:.3f}", file=sys.stderr)
+    return outcome
+
+
 def _run_all(config: RunConfig, spec: NormSpec, banner: list):
     artifacts: dict[str, str] = {}
     results = {}
     status = EXIT_OK
-    commands = ["criterion", "levy", "posdef"]
+    commands = ["criterion"]
+    if spec.dim in levy.DEFAULT_LEVELS:
+        commands.append("levy")
+    else:
+        banner.append("note: levy skipped (the moment problem supports dims 2 and 3)")
+    commands.append("posdef")
     if 0.0 < config.p < 1.0 and spec.dim == 3 and spec.smooth_in_x1:
         commands.append("demo")
     else:
         banner.append("note: demo skipped (needs dim 3, smooth sections, and 0 < p < 1)")
     for command in commands:
-        runner, _ = COMMANDS[command]
-        arts, results[command], sub_status = runner(replace(config, command=command),
-                                                    spec, banner)
+        arts, results[command], sub_status = _run_route(replace(config, command=command),
+                                                        spec, banner)
         artifacts.update(arts)
         status = max(status, sub_status)
 
-    crit_report, levy_result = results["criterion"], results["levy"]
+    crit_report = results["criterion"]
     conflict = []
     if crit_report.disagreement:
         conflict.append(f"criterion routes disagree: {crit_report.disagreement}")
-    if crit_report.verdict == crit.APPLIES and levy_result.interpretation == levy.FEASIBLE:
+    levy_feasible = "levy" in results and results["levy"].interpretation == levy.FEASIBLE
+    if crit_report.verdict == crit.APPLIES and levy_feasible:
         conflict.append("criterion verdict Applies yet the moment problem reports "
                         "FeasibleEvidence")
-    if results["posdef"].found and levy_result.interpretation == levy.FEASIBLE:
+    if results["posdef"].found and levy_feasible:
         conflict.append("a negative-eigenvalue witness exists yet the moment problem "
                         "reports FeasibleEvidence")
     if conflict:
@@ -224,9 +243,8 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG
 
     banner: list[str] = []
-    runner, _ = COMMANDS[config.command]
     try:
-        artifacts, _, status = runner(config, spec, banner)
+        artifacts, _, status = _run_route(config, spec, banner)
     except (SpecError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -280,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".")
         sp.add_argument("--format", dest="formats", default="csv,structured-report",
                         help="comma subset of {csv, structured-report}")
+        sp.add_argument("--timings", action="store_true",
+                        help="print each route's wall time to stderr (no artifact changes)")
 
     for name, (_, default_p) in COMMANDS.items():
         add_common(subs.add_parser(name), default_p)
@@ -297,6 +317,7 @@ def config_from_args(args) -> RunConfig:
         command=args.command, spec=args.spec, p=args.p, seed=args.seed,
         theta_count=args.theta_count, x1_max=args.x1_max, levels=args.levels,
         trials=args.trials, points=args.points, out=args.out, formats=formats,
+        timings=args.timings,
     )
 
 

@@ -10,7 +10,13 @@ with a seeded random search plus coordinate-descent refinement.
 Positive definiteness can fail only at particular scales relative to the
 fixed kernel width, so each random cloud is tested over a sweep of scale
 factors (a single pairwise-distance evaluation serves all scales, the norm
-being homogeneous).
+being homogeneous). Each pair norm is evaluated once: ``pairwise_norms``
+takes the upper-triangle differences x_i - x_j (i < j) and mirrors them,
+which is exact because ||x_j - x_i|| = ||-(x_i - x_j)||. The search draws
+clouds in blocks of at most ``SEARCH_BLOCK_ROWS`` pair rows, so each block
+costs one ``norm_batch`` call and one stacked ``eigvalsh`` over every
+(cloud, scale) kernel; a refinement step moves one point and recomputes
+only that point's row of distances.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ REFINE_STEPS = 200
 REFINE_STEP_FRACTION = 0.1
 WITNESS_EIG_FACTOR = -1e-8     # threshold: min_eig < factor * trace(G)/size
 SEARCH_CHUNKS = 16             # fixed seeded streams; changing it changes every witness
+SEARCH_BLOCK_ROWS = 1 << 14    # pair rows per search block; bounds memory, not results
 SYMMETRY_TOL = 1e-12
 
 
@@ -52,11 +59,18 @@ class PsdWitness:
 
 
 def pairwise_norms(spec: NormSpec, points: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of ||x_i - x_j|| under ``spec``."""
+    """Symmetric matrices of ||x_i - x_j|| under ``spec`` for a (..., m, dim)
+    stack of point sets: one ``norm_batch`` call over the pairs i < j,
+    mirrored, with an exactly zero diagonal."""
     points = np.asarray(points, dtype=float)
-    m = len(points)
-    diffs = (points[:, None, :] - points[None, :, :]).reshape(m * m, -1)
-    return norm_batch(spec, diffs).reshape(m, m)
+    m = points.shape[-2]
+    upper, lower = np.triu_indices(m, 1)
+    diffs = points[..., upper, :] - points[..., lower, :]
+    pair = norm_batch(spec, diffs.reshape(-1, spec.dim)).reshape(diffs.shape[:-1])
+    dist = np.zeros(points.shape[:-1] + (m,))
+    dist[..., upper, lower] = pair
+    dist[..., lower, upper] = pair
+    return dist
 
 
 def kernel_matrix(spec: NormSpec, p: float, points) -> np.ndarray:
@@ -83,16 +97,18 @@ def min_eigenvalue(gram) -> float:
     return float(np.linalg.eigvalsh(gram)[0])
 
 
-def _scaled_kernel_eig(dist: np.ndarray, p: float, scale: float) -> float:
-    gram = np.exp(-(scale * dist) ** p)
-    return float(np.linalg.eigvalsh(gram)[0])
-
-
 def witness_search(spec: NormSpec, p: float, n_points: int = 20,
                    trials: int = 1000, seed: int = 0) -> PsdWitness:
     """Search seeded Gaussian clouds (over the scale sweep) for the most
     negative kernel eigenvalue, then refine the best candidate by
     coordinate descent: perturb one point at a time, keep improvements.
+
+    Each of the ``SEARCH_CHUNKS`` seeded streams draws its clouds in blocks
+    of at most ``SEARCH_BLOCK_ROWS`` pair rows (at least one cloud); a block
+    evaluates each pair norm once and solves all its (cloud, scale) kernels
+    in one stacked eigenproblem call. The first minimum in draw order wins,
+    so the block size does not change the result. A refinement step
+    recomputes only the moved point's row of the distance matrix.
 
     A nonnegative best eigenvalue is a valid outcome (no witness found).
     Identical inputs reproduce the identical witness.
@@ -104,32 +120,39 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
         raise ValueError("trials must be at least 1")
     chunks = min(SEARCH_CHUNKS, trials)
     sizes = [trials // chunks + (1 if c < trials % chunks else 0) for c in range(chunks)]
+    block = max(1, SEARCH_BLOCK_ROWS // (n_points * (n_points - 1) // 2))
+    scales = np.array(SCALE_SWEEP)[:, None, None]
 
     best_lam, best_points, best_scale = np.inf, None, None
     for chunk_idx, size in enumerate(sizes):
         rng = np.random.default_rng([seed, chunk_idx])
-        for _ in range(size):
-            cloud = rng.standard_normal((n_points, spec.dim))
-            dist = pairwise_norms(spec, cloud)
-            for scale in SCALE_SWEEP:
-                lam = _scaled_kernel_eig(dist, p, scale)
-                if lam < best_lam:
-                    best_lam, best_points, best_scale = lam, cloud * scale, scale
+        for start in range(0, size, block):
+            clouds = rng.standard_normal((min(block, size - start), n_points, spec.dim))
+            dist = pairwise_norms(spec, clouds)[:, None]
+            lams = np.linalg.eigvalsh(np.exp(-(scales * dist) ** p))[..., 0]
+            cloud, k = np.unravel_index(np.argmin(lams), lams.shape)
+            if lams[cloud, k] < best_lam:
+                best_lam, best_scale = float(lams[cloud, k]), SCALE_SWEEP[k]
+                best_points = clouds[cloud] * best_scale
 
     # coordinate-descent refinement on the winning (already scaled) cloud
     rng = np.random.default_rng([seed, 0x5EED])
-    points = np.array(best_points)
+    points = best_points
+    dist = pairwise_norms(spec, points)
     lam = best_lam
     step = REFINE_STEP_FRACTION * best_scale
     for it in range(REFINE_STEPS):
         idx = it % n_points
         proposal = points.copy()
         proposal[idx] = proposal[idx] + step * rng.standard_normal(spec.dim)
-        dist = pairwise_norms(spec, proposal)
-        cand = _scaled_kernel_eig(dist, p, 1.0)
+        row = norm_batch(spec, proposal - proposal[idx])
+        row[idx] = 0.0
+        cand_dist = dist.copy()
+        cand_dist[idx] = row
+        cand_dist[:, idx] = row
+        cand = float(np.linalg.eigvalsh(np.exp(-cand_dist ** p))[0])
         if cand < lam:
-            lam = cand
-            points = proposal
+            lam, points, dist = cand, proposal, cand_dist
 
     lam = min_eigenvalue(kernel_matrix(spec, p, points))
     return PsdWitness(points=points, p=p, min_eigenvalue=lam, seed=seed,

@@ -4,8 +4,10 @@ Everything here reaches the target quantities by a route the library does
 not take: scipy adaptive quadrature on an analytically reduced form of the
 mollified pairing, the full 3D tensor quadrature of the same pairing (no
 reduction at all), the continuum (non-discretized) Fourier-side moment for
-the Euclidean norm, scipy's own special functions and NNLS, and scipy's
-brentq on the Luxemburg equation of an Orlicz norm.
+the Euclidean norm, scipy's own special functions and NNLS, scipy's
+brentq on the Luxemburg equation of an Orlicz norm, and the witness search
+as a plain serial loop (full m x m distance matrices, one eigenproblem per
+scale, a full recompute per refinement step).
 """
 
 import math
@@ -16,6 +18,9 @@ from scipy.special import gamma as _gamma
 
 from levylab.derivatives import d1_d2_norm_batch
 from levylab.mollifier import Mollifier
+from levylab.norms import norm_batch
+from levylab.posdef import (REFINE_STEP_FRACTION, REFINE_STEPS, SCALE_SWEEP,
+                            SEARCH_CHUNKS, PsdWitness, kernel_matrix, min_eigenvalue)
 from levylab.quadrature import PANEL_NODES, panel_nodes, panel_sums
 from levylab.quadrature import integrate as gk_integrate
 
@@ -158,3 +163,51 @@ def luxemburg_norm(terms, x) -> float:
     root = optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
                            maxiter=500)
     return m * root
+
+
+def full_pairwise_norms(spec, points) -> np.ndarray:
+    """All m^2 norms ||x_i - x_j||, both triangles and the diagonal."""
+    m = len(points)
+    diffs = (points[:, None, :] - points[None, :, :]).reshape(m * m, -1)
+    return norm_batch(spec, diffs).reshape(m, m)
+
+
+def _scaled_kernel_eig(dist, p: float, scale: float) -> float:
+    return float(np.linalg.eigvalsh(np.exp(-(scale * dist) ** p))[0])
+
+
+def serial_witness_search(spec, p: float, n_points: int = 20, trials: int = 1000,
+                          seed: int = 0) -> PsdWitness:
+    """``posdef.witness_search`` one cloud and one scale at a time: the same
+    seeded streams, the first strict minimum in draw order, and the same
+    refinement with every distance recomputed at each step."""
+    chunks = min(SEARCH_CHUNKS, trials)
+    sizes = [trials // chunks + (1 if c < trials % chunks else 0) for c in range(chunks)]
+    best_lam, best_points, best_scale = np.inf, None, None
+    for chunk_idx, size in enumerate(sizes):
+        rng = np.random.default_rng([seed, chunk_idx])
+        for _ in range(size):
+            cloud = rng.standard_normal((n_points, spec.dim))
+            dist = full_pairwise_norms(spec, cloud)
+            for scale in SCALE_SWEEP:
+                lam = _scaled_kernel_eig(dist, p, scale)
+                if lam < best_lam:
+                    best_lam, best_points, best_scale = lam, cloud * scale, scale
+
+    rng = np.random.default_rng([seed, 0x5EED])
+    points = np.array(best_points)
+    lam = best_lam
+    step = REFINE_STEP_FRACTION * best_scale
+    for it in range(REFINE_STEPS):
+        idx = it % n_points
+        proposal = points.copy()
+        proposal[idx] = proposal[idx] + step * rng.standard_normal(spec.dim)
+        cand = _scaled_kernel_eig(full_pairwise_norms(spec, proposal), p, 1.0)
+        if cand < lam:
+            lam = cand
+            points = proposal
+
+    lam = min_eigenvalue(kernel_matrix(spec, p, points))
+    return PsdWitness(points=points, p=p, min_eigenvalue=lam, seed=seed,
+                      spec_label=spec.label, trials=trials,
+                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS + 1)

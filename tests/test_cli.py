@@ -125,12 +125,23 @@ class TestLevyCommand:
         assert "interpretation: FeasibleEvidence" in report
         assert (tmp_path / "levy_lq-q-4-dim-2_1_measure.csv").exists()
 
-    @pytest.mark.parametrize("command", ["levy", "all"])
+    @pytest.mark.parametrize("command", ["levy"])
     def test_unsupported_dim_exits_2(self, tmp_path, capsys, command):
         code = run_cli([command, "--spec", "lq:q=4:dim=4", "--p", "1",
                         "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "supports dim [2, 3], got dim = 4" in capsys.readouterr().err
+
+    def test_all_skips_levy_above_dim_3(self, tmp_path):
+        code = run_cli(["all", "--spec", "lq:q=4:dim=4", "--p", "1", "--trials", "20",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "criterion_lq-q-4-dim-4_1.csv", "criterion_lq-q-4-dim-4_1.txt",
+            "manifest.txt", "posdef_lq-q-4-dim-4_1.csv", "posdef_lq-q-4-dim-4_1.txt"]
+        assert "verdict: NotApplicable" in (tmp_path / "criterion_lq-q-4-dim-4_1.txt").read_text()
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert "\nnote: levy skipped (the moment problem supports dims 2 and 3)\n" in manifest
 
     def test_custom_levels(self, tmp_path):
         code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",
@@ -188,6 +199,27 @@ class TestDeterminism:
         assert files_a == sorted(f.name for f in out_b.iterdir())
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestTimings:
+    @pytest.mark.parametrize("argv, routes", [
+        (["all", "--spec", "lq:q=4:dim=4", "--p", "1", "--trials", "20"],
+         ["criterion", "posdef"]),
+        (["posdef", "--spec", "lq:q=4:dim=2", "--trials", "20", "--points", "6"], ["posdef"]),
+    ])
+    def test_timings_go_to_stderr_only(self, tmp_path, capsys, argv, routes):
+        plain, timed = tmp_path / "plain", tmp_path / "timed"
+        assert run_cli(argv + ["--out", str(plain)]) == EXIT_OK
+        assert "timing:" not in capsys.readouterr().err
+        assert run_cli(argv + ["--out", str(timed), "--timings"]) == EXIT_OK
+        timing_lines = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("timing:")]
+        assert [line.split()[1] for line in timing_lines] == routes
+        assert all(float(line.split()[2]) >= 0.0 for line in timing_lines)
+        names = sorted(f.name for f in plain.iterdir())
+        assert names == sorted(f.name for f in timed.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (timed / name).read_bytes()
 
 
 class TestConflictDetection:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import full_pairwise_norms, serial_witness_search
 from levylab import posdef
 from levylab.norms import NormSpec
 from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, kernel_matrix, min_eigenvalue,
@@ -15,6 +16,7 @@ from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, kernel_matrix, min_eigenv
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
 L4_2 = NormSpec.lq(4, 2)
+ORLICZ_5 = NormSpec.orlicz_norm([(1.0, 2.0), (1.0, 8.0)], 5)
 
 # regression baselines from the first verified run (seed 11, 20 points,
 # 10^4 trials); searches are deterministic so these are exact reruns
@@ -87,6 +89,18 @@ class TestKernel:
         D = pairwise_norms(L4, rng.standard_normal((6, 3)))
         np.testing.assert_array_equal(np.diag(D), np.zeros(6))
 
+    @pytest.mark.parametrize("spec", [L4, L2, NormSpec.lq(math.inf, 3), ORLICZ_5])
+    def test_pairwise_norms_stack_matches_each_cloud(self, spec):
+        rng = np.random.default_rng(8)
+        clouds = rng.standard_normal((4, 7, spec.dim))
+        D = pairwise_norms(spec, clouds)
+        assert D.shape == (4, 7, 7)
+        for cloud, dist in zip(clouds, D):
+            np.testing.assert_array_equal(dist, pairwise_norms(spec, cloud))
+            np.testing.assert_array_equal(dist, full_pairwise_norms(spec, cloud))
+        np.testing.assert_array_equal(D, np.swapaxes(D, -1, -2))
+        np.testing.assert_array_equal(np.diagonal(D, axis1=-2, axis2=-1), np.zeros((4, 7)))
+
 
 class TestMinEigenvalue:
     def test_identity(self):
@@ -144,6 +158,47 @@ class TestWitnessSearch:
         assert np.array_equal(a.points, b.points)
         assert a.min_eigenvalue == b.min_eigenvalue
         assert witness_csv(a) == witness_csv(b)
+
+    @pytest.mark.parametrize("spec, p, n_points, trials, seed", [
+        (L4_2, 1.5, 10, 40, 1),
+        (L4, 1.5, 12, 37, 2),
+        (NormSpec.lq(math.inf, 3), 1.0, 8, 20, 3),
+        (NormSpec.lq(1, 4), 0.7, 9, 33, 4),
+        (NormSpec.euclidean(3), 1.0, 10, 25, 5),
+        (ORLICZ_5, 1.3, 7, 50, 6),
+        (L4, 1.5, 3, 7, 7),
+        (L4, 1.5, 182, 2, 8),     # 16,471 pairs > SEARCH_BLOCK_ROWS: one cloud per block
+    ])
+    def test_matches_serial_reference_bit_for_bit(self, spec, p, n_points, trials, seed):
+        w = witness_search(spec, p, n_points=n_points, trials=trials, seed=seed)
+        ref = serial_witness_search(spec, p, n_points=n_points, trials=trials, seed=seed)
+        assert np.array_equal(w.points, ref.points)
+        assert w.min_eigenvalue == ref.min_eigenvalue
+        assert witness_csv(w) == witness_csv(ref)
+
+    def test_block_size_does_not_change_the_witness(self, monkeypatch):
+        runs = []
+        for rows in (1, 10**9):
+            monkeypatch.setattr(posdef, "SEARCH_BLOCK_ROWS", rows)
+            runs.append(witness_search(L4, 1.5, n_points=10, trials=50, seed=4))
+        assert np.array_equal(runs[0].points, runs[1].points)
+        assert runs[0].min_eigenvalue == runs[1].min_eigenvalue
+        assert witness_csv(runs[0]) == witness_csv(runs[1])
+
+    @pytest.mark.parametrize("block_rows, n_points", [(500, 10), (10, 10), (1 << 14, 20)])
+    def test_norm_batch_rows_stay_bounded(self, monkeypatch, block_rows, n_points):
+        rows, real_norm_batch = [], posdef.norm_batch
+
+        def recording_norm_batch(spec, xs):
+            rows.append(len(xs))
+            return real_norm_batch(spec, xs)
+
+        monkeypatch.setattr(posdef, "SEARCH_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(posdef, "norm_batch", recording_norm_batch)
+        witness_search(L4, 1.5, n_points=n_points, trials=2000, seed=1)
+        pairs = n_points * (n_points - 1) // 2
+        assert max(rows) <= max(block_rows, pairs)
+        assert sum(rows) == 2000 * pairs + REFINE_STEPS * n_points + 2 * pairs
 
     def test_eigenproblems_counts_every_kernel_solve(self, monkeypatch):
         counting = _EigenCountingNumpy()
