@@ -145,10 +145,11 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
     if not (tol_i > 0.0 and tol_iii > 0.0):
         raise ValueError("tolerances must be positive")
     if spec.dim != 3:
+        why = ("the test is vacuous in dim 2, where every normed plane embeds "
+               "isometrically in L_p for p <= 1" if spec.dim == 2
+               else "the theorem is stated for 3-dimensional spaces")
         return _not_applicable(
-            spec,
-            f"requires dim = 3 (got dim = {spec.dim}); the test is vacuous in dim 2, "
-            "where every normed plane embeds isometrically in L_p for p <= 1",
+            spec, f"requires dim = 3 (got dim = {spec.dim}); {why}",
             theta_count, tol_i, tol_iii)
     if spec.kind == "lq" and spec.q == math.inf:
         return _not_applicable(

@@ -210,18 +210,24 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     column to W (two matvecs), and a leaving column is swapped to the last
     row and eliminated by one Householder reflection of W's columns. Both
     updates cost O(k^2) for k passive columns, and no k x k block is copied
-    or refactorized. Each solve z = W W^T (A^T b)_P is followed by
-    NNLS_REFINE_STEPS step of iterative refinement against G_PP itself,
-    which brings the normal-equation residual to the rounding floor. An
-    entering column whose Schur complement is not above NNLS_DEPENDENT_TOL
-    of its squared norm lies numerically in the span of the passive
-    columns; it is passed over and the next-largest dual enters instead.
+    or refactorized. The unconstrained passive solution zeta = W W^T (A^T b)_P
+    is carried along: an entering column c of W adds c (c^T (A^T b)_P) to it
+    at O(k) cost, and after a column leaves the next solve recomputes it. Each
+    solve is followed by NNLS_REFINE_STEPS step of iterative refinement
+    against G_PP itself, accumulated into zeta, which brings the
+    normal-equation residual to the rounding floor. An entering column whose
+    Schur complement is not above NNLS_DEPENDENT_TOL of its squared norm lies
+    numerically in the span of the passive columns; it is passed over and the
+    next-largest dual enters instead.
 
-    Gram columns are computed lazily, one matvec when a column first
-    enters, and stored column-major in entry order, so a problem whose
-    active set stays small never touches most of A^T A. The reported
-    residual is evaluated directly from A x - b, so it is not limited by
-    the squared conditioning of the normal equations.
+    Gram columns are kept column-major in entry order. A tall system
+    (columns <= rows), whose Gram is no larger than A, forms all of A^T A in
+    one symmetric BLAS-3 product, and a column that enters is moved into
+    place by a column swap. A wide system computes a Gram column lazily, one
+    matvec when the column first enters, so an active set that stays small
+    never touches most of A^T A. The reported residual is evaluated directly
+    from A x - b, so it is not limited by the squared conditioning of the
+    normal equations.
 
     Deterministic for fixed input: the entering column is always the first
     index attaining the largest dual value. Hitting the iteration cap
@@ -241,18 +247,29 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
 
     atb = A.T @ b
     gram = np.empty((n, n), order="F")   # gram[:, s] = G[:, stored[s]]
-    stored = np.empty(n, dtype=np.intp)
-    slot = np.full(n, -1, dtype=np.intp)
+    tall = n <= m
+    if tall:
+        np.matmul(A.T, A, out=gram.T)    # symmetric, so gram holds G as well
+    stored = np.arange(n)
+    slot = np.arange(n)                  # stored[slot[j]] == j
     basis = np.empty((n, n))             # W = basis[:k, :k], W W^T = inverse of G_PP
     order = np.empty(n, dtype=np.intp)   # order[:k] = P in factor order
+    zeta = np.empty(n)                   # zeta[:k] = W W^T (A^T b)_P, refined
     k = n_stored = 0
+    zeta_current = True
 
     def gram_col(j: int) -> np.ndarray:
         nonlocal n_stored
-        if slot[j] < 0:
-            gram[:, n_stored] = A.T @ A[:, j]
-            stored[n_stored] = j
-            slot[j] = n_stored
+        s = slot[j]
+        if s >= n_stored:
+            # j takes slot n_stored; the column there moves to j's old slot
+            i = stored[n_stored]
+            if tall:
+                gram[:, [n_stored, s]] = gram[:, [s, n_stored]]
+            else:
+                gram[:, n_stored] = A.T @ A[:, j]
+            stored[s], slot[i] = i, s
+            stored[n_stored], slot[j] = j, n_stored
             n_stored += 1
         return gram[:, slot[j]]
 
@@ -275,10 +292,13 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
         basis[k, k] = 1.0 / rho
         order[k] = j
         k += 1
+        c = basis[:k, k - 1]
+        zeta[k - 1] = 0.0
+        zeta[:k] += c * (c @ atb[order[:k]])
         return True
 
     def leave(r: int) -> None:
-        nonlocal k
+        nonlocal k, zeta_current
         last = k - 1
         order[[r, last]] = order[[last, r]]
         basis[[r, last], :k] = basis[[last, r], :k]
@@ -290,17 +310,22 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
         w_k = basis[:last, :k]
         basis[:last, :last] -= np.multiply.outer(w_k @ v, v[:last] * (2.0 / (v @ v)))
         k = last
+        zeta_current = False
 
     def solve_passive() -> np.ndarray:
+        nonlocal zeta_current
         idx = order[:k]
         w_k = basis[:k, :k]
         rhs = atb[idx]
-        z = w_k @ (rhs @ w_k)
+        z = zeta[:k]
+        if not zeta_current:
+            z[:] = w_k @ (rhs @ w_k)
+            zeta_current = True
         z_full = np.zeros(n)
         for _ in range(NNLS_REFINE_STEPS):
             z_full[idx] = z
             z += w_k @ ((rhs - gram_times(z_full)[idx]) @ w_k)
-        return z
+        return z.copy()
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -143,6 +143,19 @@ class TestLevyCommand:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "\nnote: levy skipped (the moment problem supports dims 2 and 3)\n" in manifest
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_all_criterion_refusal_fits_the_dim(self, tmp_path, dim):
+        code = run_cli(["all", "--spec", f"lq:q=4:dim={dim}", "--p", "1", "--trials", "20",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        reason = next(line for line in
+                      (tmp_path / f"criterion_lq-q-4-dim-{dim}_1.txt").read_text().splitlines()
+                      if line.startswith("reason: "))
+        assert reason.startswith(f"reason: requires dim = 3 (got dim = {dim}); ")
+        assert ("plane" in reason) == (dim == 2)
+        if dim != 2:
+            assert "the theorem is stated for 3-dimensional spaces" in reason
+
     def test_custom_levels(self, tmp_path):
         code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",
                         "--levels", "8:16,32:64", "--out", str(tmp_path)])

@@ -24,6 +24,60 @@ L4_P1_PLATEAU = 0.029208427881332277
 L4_P1_PROBE = 0.0290388612220332
 
 
+def assert_matches_reference(A, b):
+    mine = solve_nnls(A, b)
+    w_ref, r_ref = scipy_nnls(A, b)
+    assert mine.relative_residual == pytest.approx(r_ref / np.linalg.norm(b), abs=1e-12)
+    np.testing.assert_allclose(mine.weights, w_ref, atol=1e-9)
+    return mine
+
+
+def check_rank_deficient(rows, extra, dual_tol):
+    """12 columns plus a duplicate of column 3 or a zero column; the extra
+    column must never be factored beside its twin."""
+    rng = np.random.default_rng(13)
+    A = rng.random((rows, 12))
+    M = np.column_stack([A, A[:, 3] if extra == "duplicate" else np.zeros(rows)])
+    for b in (2.0 * A[:, 3] + 0.3 * rng.random(rows), rng.standard_normal(rows),
+              A @ rng.random(12)):
+        sol = solve_nnls(M, b, dual_tol=dual_tol)
+        _, r_ref = scipy_nnls(M, b)
+        assert sol.converged
+        assert np.all(sol.weights >= 0.0)
+        assert sol.relative_residual == pytest.approx(
+            r_ref / np.linalg.norm(b), abs=1e-12)
+        assert sol.weights[3] == 0.0 or sol.weights[12] == 0.0
+
+
+def removal_block(seed, rows):
+    """A rows x 80 moment-type system whose solve removes columns one at a time."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, 3))
+    return np.abs(X @ rng.standard_normal((80, 3)).T), np.sum(X ** 4, axis=1) ** 0.25
+
+
+def check_column_removals(seed, rows):
+    """The removal block beside a 3 x 3 block whose third column, entering
+    last, drives the first two to zero in the same step (exactly, by
+    symmetry): 2 entries + 1 step + 1 re-solve = 4 iterations."""
+    R, r_rhs = removal_block(seed, rows)
+    alone = solve_nnls(R, r_rhs)
+    assert alone.iterations > np.count_nonzero(alone.weights)   # columns left
+    A = np.zeros((rows + 3, 83))
+    A[:3, :3] = [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 0.1]]
+    A[3:, 3:] = R
+    mine = assert_matches_reference(A, np.concatenate([np.ones(3), r_rhs]))
+    assert mine.iterations == alone.iterations + 4
+    np.testing.assert_allclose(mine.weights[:3], [0.0, 0.0, 50.0 / 9.0], rtol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def euclidean_level():
+    xs = sample_norm_sphere(EUC, 2048, np.random.default_rng(0))
+    A, b = assemble_moment_system(EUC, 1.0, xs, direction_grid(3, 1024))
+    return A, b, solve_nnls(A, b)
+
+
 class TestAssembly:
     def test_basis_directions_give_identity(self):
         A, b = assemble_moment_system(L1, 1.0, np.eye(3), np.eye(3))
@@ -77,13 +131,13 @@ class TestNnls:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_reference_solver(self, seed):
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((40, 15))
-        b = rng.standard_normal(40)
-        mine = solve_nnls(A, b)
-        w_ref, r_ref = scipy_nnls(A, b)
-        assert mine.relative_residual == pytest.approx(
-            r_ref / np.linalg.norm(b), abs=1e-12)
-        np.testing.assert_allclose(mine.weights, w_ref, atol=1e-9)
+        assert_matches_reference(rng.standard_normal((40, 15)), rng.standard_normal(40))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_wide_matches_reference_solver(self, seed):
+        # more columns than rows: Gram columns are computed as they enter
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(rng.standard_normal((15, 40)), rng.standard_normal(15))
 
     def test_iteration_cap_reports_nonconvergence(self):
         rng = np.random.default_rng(5)
@@ -102,59 +156,74 @@ class TestNnls:
         with pytest.raises(ValueError):
             solve_nnls(np.array([[np.nan]]), np.array([1.0]))
 
-    def test_euclidean_level_matches_reference_solver(self):
+    def test_euclidean_level_matches_reference_solver(self, euclidean_level):
         # the finest Euclidean level at p = 1: about 1,050 iterations that
         # grow the passive set to about 950 columns
-        xs = sample_norm_sphere(EUC, 2048, np.random.default_rng(0))
-        A, b = assemble_moment_system(EUC, 1.0, xs, direction_grid(3, 1024))
-        mine = solve_nnls(A, b)
+        A, b, mine = euclidean_level
         w_ref, r_ref = scipy_nnls(A, b)
         assert mine.converged
         assert mine.relative_residual == pytest.approx(
             r_ref / np.linalg.norm(b), rel=1e-8)
         assert np.count_nonzero(mine.weights) == np.count_nonzero(w_ref)
 
+    def test_euclidean_level_passive_solution_at_rounding_floor(self, euclidean_level):
+        # the carried passive solution (updated as columns enter, recomputed
+        # after a column leaves) solves the final normal equations, checked
+        # against a Gram block formed here from A
+        A, b, sol = euclidean_level
+        passive = sol.weights > 0.0
+        A_p = A[:, passive]
+        rhs = A_p.T @ b
+        resid = (A_p.T @ A_p) @ sol.weights[passive] - rhs
+        assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(rhs)
+        assert (sol.iterations, int(np.count_nonzero(passive))) == (1048, 952)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_carried_passive_solution_without_refinement(self, seed, monkeypatch):
+        # with refinement off, each passive solution is the carried one
+        # alone: updated when a column enters, recomputed after one leaves
+        monkeypatch.setattr(levy, "NNLS_REFINE_STEPS", 0)
+        R, r_rhs = removal_block(seed, 200)
+        mine = assert_matches_reference(R, r_rhs)
+        assert mine.iterations > np.count_nonzero(mine.weights)     # columns left
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(rng.standard_normal((40, 15)), rng.standard_normal(40))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_duplicate_pairs_match_passive_least_squares(self, seed):
+        # both columns of a pair enter, so G_PP passes through condition
+        # numbers near 1e10 before one of them leaves; a solve that started
+        # from the passive solution carried across that leave, rather than
+        # a recomputed one, is off by up to about 1e-11 at the end
+        rng = np.random.default_rng(seed)
+        A = np.repeat(rng.random((30, 6)), 2, axis=1) + 1e-5 * rng.standard_normal((30, 12))
+        b = rng.random(30)
+        sol = solve_nnls(A, b)
+        passive = sol.weights > 0.0
+        ref = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        assert sol.converged
+        np.testing.assert_allclose(sol.weights[passive], ref, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
     @pytest.mark.parametrize("dual_tol", [levy.NNLS_DUAL_TOL, 0.0])
     @pytest.mark.parametrize("extra", ["duplicate", "zero"])
     def test_rank_deficient_columns(self, extra, dual_tol):
         # dual_tol = 0 lets the duplicate's rounding-level dual select it
         # after its twin entered; it must be passed over, not factored
-        rng = np.random.default_rng(13)
-        A = rng.random((50, 12))
-        M = np.column_stack([A, A[:, 3] if extra == "duplicate" else np.zeros(50)])
-        for b in (2.0 * A[:, 3] + 0.3 * rng.random(50), rng.standard_normal(50),
-                  A @ rng.random(12)):
-            sol = solve_nnls(M, b, dual_tol=dual_tol)
-            _, r_ref = scipy_nnls(M, b)
-            assert sol.converged
-            assert np.all(sol.weights >= 0.0)
-            assert sol.relative_residual == pytest.approx(
-                r_ref / np.linalg.norm(b), abs=1e-12)
-            assert sol.weights[3] == 0.0 or sol.weights[12] == 0.0
+        check_rank_deficient(50, extra, dual_tol)
+
+    @pytest.mark.parametrize("dual_tol", [levy.NNLS_DUAL_TOL, 0.0])
+    @pytest.mark.parametrize("extra", ["duplicate", "zero"])
+    def test_wide_rank_deficient_columns(self, extra, dual_tol):
+        check_rank_deficient(10, extra, dual_tol)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_column_removals_match_reference_solver(self, seed):
-        # a 200 x 80 moment-type block, whose solve removes columns one at a
-        # time, beside a 3 x 3 block whose third column, entering last,
-        # drives the first two to zero in the same step (exactly, by
-        # symmetry): 2 entries + 1 step + 1 re-solve = 4 iterations
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((200, 3))
-        R = np.abs(X @ rng.standard_normal((80, 3)).T)
-        r_rhs = np.sum(X ** 4, axis=1) ** 0.25
-        alone = solve_nnls(R, r_rhs)
-        assert alone.iterations > np.count_nonzero(alone.weights)   # columns left
-        A = np.zeros((203, 83))
-        A[:3, :3] = [[1.0, 0.0, 0.2], [0.0, 1.0, 0.2], [0.0, 0.0, 0.1]]
-        A[3:, 3:] = R
-        b = np.concatenate([np.ones(3), r_rhs])
-        mine = solve_nnls(A, b)
-        w_ref, r_ref = scipy_nnls(A, b)
-        assert mine.iterations == alone.iterations + 4
-        np.testing.assert_allclose(mine.weights[:3], [0.0, 0.0, 50.0 / 9.0], rtol=1e-14)
-        assert mine.relative_residual == pytest.approx(
-            r_ref / np.linalg.norm(b), abs=1e-12)
-        np.testing.assert_allclose(mine.weights, w_ref, atol=1e-9)
+        check_column_removals(seed, 200)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_column_removals_match_reference_solver(self, seed):
+        check_column_removals(seed, 40)
 
     def test_repeat_calls_bit_identical(self):
         xs = sample_norm_sphere(L4, 512, np.random.default_rng(21))
