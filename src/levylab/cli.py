@@ -29,12 +29,14 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import criterion as crit
 from . import levy
 from . import mollifier as moll
 from . import posdef
-from .derivatives import DerivativeError, fd_d1, fd_d2, section_derivatives
-from .norms import NormSpec, SpecError, eval_norm, g17, parse_spec
+from .derivatives import DerivativeError, d1_d2_norm_batch, fd_d1, fd_d2
+from .norms import NormSpec, SpecError, g17, norm_batch, parse_spec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -155,12 +157,13 @@ def _run_demo(config: RunConfig, spec: NormSpec, banner: list):
 def _run_derive(config: RunConfig, spec: NormSpec, banner: list):
     if spec.dim != 3:
         raise SpecError("derive probes require dim = 3")
+    probes = np.array(DERIVE_PROBES)
+    d1, d2, _ = d1_d2_norm_batch(spec.as_power_orlicz(), probes)
     rows = ["x1,x2,x3,norm,d1,d2,fd_d1,fd_d2"]
-    for x in DERIVE_PROBES:
-        pair = section_derivatives(spec, x)
+    for x, nrm, a1, a2 in zip(DERIVE_PROBES, norm_batch(spec, probes), d1, d2):
         rows.append(
             ",".join(g17(c) for c in x)
-            + f",{g17(eval_norm(spec, x))},{g17(pair.d1)},{g17(pair.d2)}"
+            + f",{g17(nrm)},{g17(a1)},{g17(a2)}"
             + f",{g17(fd_d1(spec, x))},{g17(fd_d2(spec, x))}")
     artifacts = {_artifact_name(config, "csv"): "\n".join(rows) + "\n"}
     return artifacts, None, EXIT_OK

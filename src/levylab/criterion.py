@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import d1_d2_batch
+from .derivatives import d1_d2_norm_batch
 from .norms import NormSpec, OrliczFunction, g17, subsphere_batch
 
 APPLIES = "Applies"
@@ -32,8 +32,8 @@ NOT_APPLICABLE = "NotApplicable"
 
 DEFAULT_THETA_COUNT = 720
 DEFAULT_X1_MAX = 64.0
-DEFAULT_TOL_I = 1e-8
-DEFAULT_TOL_III = 1e-3
+TOL_I = 1e-8              # condition I: |d1|, d2 at x1 = 0 below this
+TOL_III = 1e-3            # condition III: the decay profile ends below this
 SCAN_X1_POINTS = 128
 DECAY_LADDER = 26         # dyadic ladder x1 = 2^-k, k = 0..25
 DECAY_MIN_STEPS = 10      # required monotone steps below the ladder's peak
@@ -57,8 +57,6 @@ class CriterionReport:
     decay_profile: tuple[tuple[float, float], ...] = ()
     theta_count: int = 0
     x1_grid: str = ""
-    tol_i: float = DEFAULT_TOL_I
-    tol_iii: float = DEFAULT_TOL_III
     assumptions: tuple[str, ...] = ASSUMPTIONS
     analytic_flatness: FlatnessResult | None = None    # Orlicz specs only
 
@@ -107,20 +105,15 @@ def check_orlicz_flatness(fn: OrliczFunction) -> FlatnessResult:
     return FlatnessResult(eligible=eligible, reasons=tuple(reasons), note=note)
 
 
-def _not_applicable(spec: NormSpec, reason: str, theta_count: int,
-                    tol_i: float, tol_iii: float) -> CriterionReport:
-    return CriterionReport(
-        spec_label=spec.label, verdict=NOT_APPLICABLE, reason=reason,
-        theta_count=theta_count, tol_i=tol_i, tol_iii=tol_iii,
-    )
+def _not_applicable(spec: NormSpec, reason: str, theta_count: int) -> CriterionReport:
+    return CriterionReport(spec_label=spec.label, verdict=NOT_APPLICABLE, reason=reason,
+                           theta_count=theta_count)
 
 
 def second_derivative_test(
     spec: NormSpec,
     theta_count: int = DEFAULT_THETA_COUNT,
     x1_max: float = DEFAULT_X1_MAX,
-    tol_i: float = DEFAULT_TOL_I,
-    tol_iii: float = DEFAULT_TOL_III,
 ) -> CriterionReport:
     """Check conditions I-III on grids and return a verdict report.
 
@@ -130,37 +123,31 @@ def second_derivative_test(
     For Orlicz specs the report also carries :func:`check_orlicz_flatness`,
     and ``report.disagreement`` says when it contradicts the grid verdict.
     """
-    report = _grid_test(spec, theta_count, x1_max, tol_i, tol_iii)
+    report = _grid_test(spec, theta_count, x1_max)
     if spec.kind == "orlicz":
         report.analytic_flatness = check_orlicz_flatness(spec.orlicz)
     return report
 
 
-def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
-               tol_i: float, tol_iii: float) -> CriterionReport:
+def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionReport:
     if theta_count < 8:
         raise ValueError(f"theta_count must be at least 8, got {theta_count}")
     if not x1_max > 1e-5:
         raise ValueError(f"x1_max must exceed the scan floor 1e-5, got {x1_max}")
-    if not (tol_i > 0.0 and tol_iii > 0.0):
-        raise ValueError("tolerances must be positive")
     if spec.dim != 3:
         why = ("the test is vacuous in dim 2, where every normed plane embeds "
                "isometrically in L_p for p <= 1" if spec.dim == 2
                else "the theorem is stated for 3-dimensional spaces")
         return _not_applicable(
-            spec, f"requires dim = 3 (got dim = {spec.dim}); {why}",
-            theta_count, tol_i, tol_iii)
+            spec, f"requires dim = 3 (got dim = {spec.dim}); {why}", theta_count)
     if spec.kind == "lq" and spec.q == math.inf:
         return _not_applicable(
-            spec, "q = inf: max-norm sections are not twice differentiable",
-            theta_count, tol_i, tol_iii)
+            spec, "q = inf: max-norm sections are not twice differentiable", theta_count)
     if not spec.smooth_in_x1:
         detail = (f"q = {spec.q:g} < 2" if spec.kind == "lq"
                   else f"minimum Orlicz exponent {spec.orlicz.min_exponent:g} < 2")
         return _not_applicable(
-            spec, f"x1-sections are not C^2 off the plane x1 = 0 ({detail})",
-            theta_count, tol_i, tol_iii)
+            spec, f"x1-sections are not C^2 off the plane x1 = 0 ({detail})", theta_count)
 
     fn = spec.as_power_orlicz()
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
@@ -175,13 +162,13 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
             pts = np.concatenate([
                 np.column_stack([np.full(len(tube), x1), tube]) for x1 in block
             ])
-            _, d2 = d1_d2_batch(fn, pts)
+            _, d2, _ = d1_d2_norm_batch(fn, pts)
             rows.append(d2.reshape(len(block), len(tube)))
         return np.concatenate(rows)
 
     # condition I: derivatives at x1 = 0 over the theta grid
     zero_pts = np.column_stack([np.zeros(len(tube)), tube])
-    d1_zero, d2_zero = d1_d2_batch(fn, zero_pts)
+    d1_zero, d2_zero, _ = d1_d2_norm_batch(fn, zero_pts)
     cond_i_max_d1 = float(np.max(np.abs(d1_zero)))
     cond_i_max_d2 = float(np.max(d2_zero))
 
@@ -204,24 +191,21 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
         pts = np.column_stack([x1_local,
                                np.full(len(x1_local), tube_pt[0]),
                                np.full(len(x1_local), tube_pt[1])])
-        _, vals = d1_d2_batch(fn, pts)
+        _, vals, _ = d1_d2_norm_batch(fn, pts)
         peak_x1 = float(x1_local[int(np.argmax(vals))])
         theta_local = np.linspace(peak_theta - dtheta, peak_theta + dtheta, 33)
         tube_local = subsphere_batch(spec, theta_local)
         pts = np.column_stack([np.full(len(theta_local), peak_x1), tube_local])
-        _, vals = d1_d2_batch(fn, pts)
+        _, vals, _ = d1_d2_norm_batch(fn, pts)
         peak_theta = float(theta_local[int(np.argmax(vals))])
         k_scan = max(k_scan, float(vals.max()))
         dx1 /= 8.0
         dtheta /= 8.0
-    shrinks = 2.0 ** -np.arange(TAIL_SHRINKS)
-    tail_vals = []
-    for tau in shrinks:
-        sigma = tau / x1_max                       # sigma = 1/x1 < 1/x1_max
-        pts = np.column_stack([np.ones(len(tube)), tube * sigma])
-        _, d2 = d1_d2_batch(fn, pts)
-        tail_vals.append(sigma * float(d2.max()))
-    tail_est = max(tail_vals)
+    sigmas = 2.0 ** -np.arange(TAIL_SHRINKS) / x1_max    # sigma = 1/x1 < 1/x1_max
+    pts = np.concatenate([np.column_stack([np.ones(len(tube)), tube * sigma])
+                          for sigma in sigmas])
+    _, d2, _ = d1_d2_norm_batch(fn, pts)
+    tail_est = max((sigmas * d2.reshape(TAIL_SHRINKS, len(tube)).max(axis=1)).tolist())
     k_hat = max(k_scan, tail_est, cond_i_max_d2)
     cond_ii_ok = (k_scan_idx < SCAN_X1_POINTS - 1) and (tail_est <= k_scan)
 
@@ -236,19 +220,19 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
     profile = tuple((float(x1), float(v)) for x1, v in zip(dyadic[peak:], decay_sup))
     monotone = bool(np.all(decay_sup[1:] <= decay_sup[:-1] * (1.0 + 1e-9)))
     cond_iii_ok = (monotone and len(decay_sup) - 1 >= DECAY_MIN_STEPS
-                   and decay_sup[-1] <= tol_iii)
+                   and decay_sup[-1] <= TOL_III)
 
-    if cond_i_max_d1 > tol_i or cond_i_max_d2 > tol_i:
+    if cond_i_max_d1 > TOL_I or cond_i_max_d2 > TOL_I:
         verdict, reason = FAILS_I, (
             f"derivatives at x1 = 0 do not vanish: max |d1| = {cond_i_max_d1:.3e}, "
-            f"max d2 = {cond_i_max_d2:.3e} (tol {tol_i:g})")
+            f"max d2 = {cond_i_max_d2:.3e} (tol {TOL_I:g})")
     elif not cond_ii_ok:
         verdict, reason = FAILS_II, (
             "no finite bound certified: the scan supremum sits at the edge of the "
             f"x1 range (x1 = {x1_scan[k_scan_idx]:.3e}) or the tail estimate exceeds it")
     elif not cond_iii_ok:
         verdict, reason = FAILS_III, (
-            f"sup_theta d2 does not decay monotonically below {tol_iii:g} along "
+            f"sup_theta d2 does not decay monotonically below {TOL_III:g} along "
             f"x1 = 2^-k (final value {decay_sup[-1]:.3e})")
     else:
         verdict, reason = APPLIES, (
@@ -268,8 +252,6 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float,
         x1_grid=(f"logspace(1e-06, {x1_max:g}, {SCAN_X1_POINTS}) for the bound scan; "
                  f"2^-k, k = 0..{DECAY_LADDER - 1} for the decay ladder, "
                  "profile reported from its maximum"),
-        tol_i=tol_i,
-        tol_iii=tol_iii,
     )
 
 
@@ -285,8 +267,8 @@ def report_text(report: CriterionReport) -> str:
         f"K_hat_at_x1: {g17(report.k_hat_at_x1)}",
         f"theta_count: {report.theta_count}",
         f"x1_grid: {report.x1_grid}",
-        f"tol_i: {g17(report.tol_i)}",
-        f"tol_iii: {g17(report.tol_iii)}",
+        f"tol_i: {g17(TOL_I)}",
+        f"tol_iii: {g17(TOL_III)}",
         f"decay_steps: {len(report.decay_profile)}",
     ]
     flat = report.analytic_flatness

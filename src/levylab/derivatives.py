@@ -21,8 +21,6 @@ see only the norm itself, never the analytic formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .norms import NormSpec, OrliczFunction, norm_batch
@@ -36,12 +34,6 @@ class DerivativeError(RuntimeError):
     combination cannot produce (M'(t) > 0 for t > 0)."""
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    d1: float
-    d2: float
-
-
 def _pow2_scale(ax: np.ndarray) -> np.ndarray:
     """Per-row exact power-of-two scale near max|x_k| (1 for zero rows)."""
     m = ax.max(axis=1)
@@ -50,7 +42,11 @@ def _pow2_scale(ax: np.ndarray) -> np.ndarray:
 
 
 def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise (d1, d2, ||x||) for an (m, 3) array of points, (x2, x3) != 0."""
+    """Row-wise (d1, d2, ||x||) for an (m, 3) array of points, (x2, x3) != 0.
+
+    Every step acts on each row alone, so a row's values do not depend on
+    the rest of the batch.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 3:
         raise ValueError(f"expected an (m, 3) array, got shape {xs.shape}")
@@ -73,31 +69,6 @@ def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np
            + ax[:, 2] ** 2 * d1 ** 2 * mpp[:, 2])
     d2 = num / (nrm ** 2 * denom_lin)
     return sign1 * d1, d2 / scale, nrm * scale
-
-
-def d1_d2_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (d1, d2) for an (m, 3) array of points with (x2, x3) != 0."""
-    d1, d2, _ = d1_d2_norm_batch(fn, xs)
-    return d1, d2
-
-
-def orlicz_d1(fn: OrliczFunction, x) -> float:
-    """Analytic d||x||/dx1 at a single point."""
-    d1, _ = d1_d2_batch(fn, np.asarray(x, dtype=float)[None, :])
-    return float(d1[0])
-
-
-def orlicz_d2(fn: OrliczFunction, x) -> float:
-    """Analytic d^2||x||/dx1^2 at a single point; nonnegative."""
-    _, d2 = d1_d2_batch(fn, np.asarray(x, dtype=float)[None, :])
-    return float(d2[0])
-
-
-def section_derivatives(spec: NormSpec, x) -> DerivativePair:
-    """(d1, d2) of the x1-section of ``spec`` at ``x`` via the analytic route."""
-    fn = spec.as_power_orlicz()
-    d1s, d2s = d1_d2_batch(fn, np.asarray(x, dtype=float)[None, :])
-    return DerivativePair(d1=float(d1s[0]), d2=float(d2s[0]))
 
 
 def _default_step(spec: NormSpec, x) -> float:

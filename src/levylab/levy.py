@@ -80,13 +80,6 @@ class SphericalMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def moment(self, xs, p: float) -> np.ndarray:
-        """sum_j w_j |<x, xi_j>|^p for each row x of ``xs``."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.size == 0:
-            return np.zeros(len(xs))
-        return (np.abs(xs @ self.directions.T) ** p) @ self.weights
-
 
 @dataclass(frozen=True)
 class FeasibilityLevel:
@@ -126,9 +119,6 @@ class FeasibilityResult:
     best_measure: SphericalMeasure
     plateau_probe: FeasibilityLevel | None = None
     converged: bool = True
-    feasible_threshold: float = FEASIBLE_RESIDUAL
-    plateau_threshold: float = PLATEAU_RESIDUAL
-    plateau_rel_change: float = PLATEAU_REL_CHANGE
 
 
 def to_hemisphere(directions: np.ndarray) -> np.ndarray:
@@ -378,17 +368,6 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
                         converged=converged, iterations=iterations)
 
 
-def verify_measure(spec: NormSpec, p: float, measure: SphericalMeasure, test_points) -> float:
-    """Max relative error of the representation over the test points."""
-    check_p(p)
-    xs = np.atleast_2d(np.asarray(test_points, dtype=float))
-    target = norm_batch(spec, xs) ** p
-    if np.any(target == 0.0):
-        raise ValueError("test points must be nonzero")
-    approx = measure.moment(xs, p)
-    return float(np.max(np.abs(approx - target) / target))
-
-
 def uniform_calibrated_measure(p: float, count: int = 2048) -> SphericalMeasure:
     """Uniform weights on the Fibonacci lattice, calibrated so the Euclidean
     representation is exact at x = e1 (hence, by near-uniformity, accurate
@@ -413,8 +392,8 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     refinement. InfeasibleEvidence: residual > 1e-2 at every level and the
     final residual moves by < 10% when directions are quadrupled at fixed
     samples. Anything else (including a solver that hit its iteration cap)
-    is Inconclusive. Thresholds are calibration constants and are recorded
-    in the result.
+    is Inconclusive. Thresholds are calibration constants and are printed
+    in the report.
     """
     check_p(p)
     if spec.dim not in DEFAULT_LEVELS:
@@ -498,9 +477,9 @@ def feasibility_report_text(result: FeasibilityResult) -> str:
         f"seed: {result.seed}",
         f"interpretation: {result.interpretation}",
         f"converged: {result.converged}",
-        f"feasible_threshold: {g17(result.feasible_threshold)}",
-        f"plateau_threshold: {g17(result.plateau_threshold)}",
-        f"plateau_rel_change: {g17(result.plateau_rel_change)}",
+        f"feasible_threshold: {g17(FEASIBLE_RESIDUAL)}",
+        f"plateau_threshold: {g17(PLATEAU_RESIDUAL)}",
+        f"plateau_rel_change: {g17(PLATEAU_REL_CHANGE)}",
         f"best_measure_atoms: {result.best_measure.size}",
         f"best_measure_mass: {g17(result.best_measure.total_mass)}",
     ]

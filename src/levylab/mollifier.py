@@ -83,36 +83,9 @@ def fourier_constant(p: float) -> float:
     return math.copysign(math.exp(log_abs), sin_term)
 
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Gaussian bump h_n concentrating at 0 with unit mass."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-
-    def h(self, x1):
-        x1 = np.asarray(x1, dtype=float)
-        out = (self.n / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * (x1 * self.n) ** 2)
-        return float(out) if out.ndim == 0 else out
-
-    def mass(self) -> float:
-        """Quadrature of h_n over |x1| <= 12/n (missed tails < 1e-31)."""
-        top = 12.0 / self.n
-        res = integrate(self.h, 0.0, top, rel_tol=1e-12,
-                        breakpoints=[top * 2.0 ** -k for k in range(1, 8)])
-        return 2.0 * res.scalar
-
-    def tail_mass(self, delta: float) -> float:
-        """Quadrature of h_n over |x1| > delta."""
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
-        top = delta + 12.0 / self.n
-        res = integrate(self.h, delta, top, rel_tol=1e-12,
-                        breakpoints=[delta + (top - delta) * k / 8 for k in range(1, 8)])
-        return 2.0 * res.scalar
+def _check_bump_index(n) -> None:
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
 
 
 @dataclass
@@ -137,7 +110,7 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
         raise ValueError(f"requires dim = 3, got {spec.dim}")
     if not spec.smooth_in_x1:
         raise ValueError("the x1-sections must be C^2 off the plane x1 = 0")
-    Mollifier(n)              # rejects an n that is not a positive integer
+    _check_bump_index(n)
     fn = spec.as_power_orlicz()
     # c0 / n, doubled for the evenness of G in s
     scale = 2.0 ** ((p + 1.0) / 2.0) * math.gamma((p + 1.0) / 2.0) / (2.0 * math.pi) ** 1.5
@@ -191,8 +164,7 @@ def rhs_value(p: float, n: int, measure: SphericalMeasure) -> tuple[float, float
     """
     if not 0.0 < p < 2.0:
         raise ValueError(f"p must lie in (0, 2), got {p}")
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check_bump_index(n)
     if measure.size and measure.directions.shape[1] != 3:
         raise ValueError("the Fourier-side pairing is defined for dim 3 measures")
     prefactor = (-(2.0 ** (1.0 - p / 2.0)) * math.gamma(1.0 - p / 2.0)

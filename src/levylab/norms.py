@@ -48,6 +48,18 @@ class OrliczError(SpecError):
     """The Orlicz function fails a structural requirement."""
 
 
+def _check_term(coef: float, exp: float) -> None:
+    if not (math.isfinite(coef) and math.isfinite(exp)):
+        raise OrliczError("coefficients and exponents must be finite")
+    if coef < 0:
+        raise OrliczError(f"negative coefficient {coef}")
+    if exp < 1:
+        raise OrliczError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
+    if exp > MAX_EXPONENT:
+        raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
+                          "beyond double-precision powers")
+
+
 @dataclass(frozen=True)
 class OrliczFunction:
     """Power combination M(t) = sum_i a_i t^{q_i}, normalized to M(1) = 1.
@@ -60,27 +72,30 @@ class OrliczFunction:
     terms: tuple[tuple[float, float], ...]
     scale: float = field(default=1.0, compare=False)
 
+    def __post_init__(self):
+        """The invariants: finite nonnegative coefficients, exponents in
+        [1, MAX_EXPONENT] (convex on [0, 1], exact in double precision),
+        and M(1) = 1."""
+        if not self.terms:
+            raise OrliczError("at least one term with a positive coefficient is required")
+        for coef, exp in self.terms:
+            _check_term(coef, exp)
+        total = math.fsum(coef for coef, _ in self.terms)
+        if not abs(total - 1.0) <= 1e-12:
+            raise OrliczError(f"M(1) = {total!r} != 1; construct via OrliczFunction.from_terms")
+
     @classmethod
     def from_terms(cls, terms) -> "OrliczFunction":
-        """Validate, merge duplicate exponents, sort, and normalize M(1) = 1."""
+        """Merge duplicate exponents, drop zero coefficients, sort, and
+        normalize M(1) = 1; the constructor checks the result."""
         merged: dict[float, float] = {}
         for coef, exp in terms:
             coef = float(coef)
             exp = float(exp)
-            if not (math.isfinite(coef) and math.isfinite(exp)):
-                raise OrliczError("coefficients and exponents must be finite")
-            if coef < 0:
-                raise OrliczError(f"negative coefficient {coef}")
-            if exp < 1:
-                raise OrliczError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
-            if exp > MAX_EXPONENT:
-                raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
-                                  "beyond double-precision powers")
+            _check_term(coef, exp)      # before merging, which could hide a bad term
             if coef == 0:
                 continue
             merged[exp] = merged.get(exp, 0.0) + coef
-        if not merged:
-            raise OrliczError("at least one term with a positive coefficient is required")
         try:
             total = math.fsum(merged.values())
         except OverflowError:
@@ -139,53 +154,6 @@ class OrliczFunction:
         if any(1.0 < e < 2.0 for _, e in self.terms):
             return math.inf
         return math.fsum(2.0 * c for c, e in self.terms if e == 2.0)
-
-    @property
-    def flat_at_zero(self) -> bool:
-        """True iff M'(0) = M''(0) = 0, i.e. every exponent exceeds 2."""
-        return self.min_exponent > 2.0
-
-
-@dataclass(frozen=True)
-class OrliczValidationReport:
-    zero_at_zero: bool
-    convex: bool
-    normalized: bool
-    flat_at_zero: bool
-    passed: bool
-    reasons: tuple[str, ...]
-
-
-def validate_orlicz(fn: OrliczFunction) -> OrliczValidationReport:
-    """Check M(0) = 0, convexity (M'' >= 0 sampled at 1024 points of [0, 4]),
-    the M(1) = 1 normalization, and the flatness flag M'(0) = M''(0) = 0."""
-    if not fn.terms:
-        raise OrliczError("empty term list")
-    reasons = []
-    zero_at_zero = fn.value(0.0) == 0.0
-    if not zero_at_zero:
-        reasons.append(f"M(0) = {fn.value(0.0)} != 0")
-    grid = np.linspace(0.0, 4.0, 1024)
-    d2 = np.asarray(fn.deriv2(grid))
-    convex = bool(np.all(np.nan_to_num(d2, nan=-1.0, posinf=np.inf) >= 0.0))
-    if not convex:
-        worst = grid[int(np.argmin(d2))]
-        reasons.append(f"M''({worst:.6g}) = {d2.min():.6g} < 0")
-    normalized = abs(fn.value(1.0) - 1.0) <= 1e-12
-    if not normalized:
-        reasons.append(f"M(1) = {fn.value(1.0)!r} != 1")
-    flat = fn.flat_at_zero
-    if not flat:
-        bad = [f"{c:g}*t^{e:g}" for c, e in fn.terms if e <= 2.0]
-        reasons.append("M'(0) or M''(0) nonzero (terms: " + ", ".join(bad) + ")")
-    return OrliczValidationReport(
-        zero_at_zero=zero_at_zero,
-        convex=convex,
-        normalized=normalized,
-        flat_at_zero=flat,
-        passed=zero_at_zero and convex and normalized,
-        reasons=tuple(reasons),
-    )
 
 
 @dataclass(frozen=True)
@@ -247,17 +215,6 @@ def _check_dim(dim) -> None:
         raise SpecError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim}")
 
 
-def _validate_orlicz_terms(fn: OrliczFunction) -> None:
-    if not fn.terms:
-        raise OrliczError("empty term list")
-    for coef, exp in fn.terms:
-        if coef < 0 or not 1 <= exp <= MAX_EXPONENT:
-            raise OrliczError(f"invalid term {coef}*t^{exp} (convexity or exponent "
-                              "check failed)")
-    if abs(fn.value(1.0) - 1.0) > 1e-12:
-        raise OrliczError(f"M(1) = {fn.value(1.0)!r} != 1; construct via OrliczFunction.from_terms")
-
-
 def eval_norm(spec: NormSpec, x) -> float:
     """Evaluate ||x|| under ``spec``. Zero only at x = 0."""
     x = np.asarray(x, dtype=float)
@@ -282,7 +239,6 @@ def norm_batch(spec: NormSpec, xs) -> np.ndarray:
     if spec.kind == "euclidean":
         return np.sqrt((xs * xs).sum(axis=1))
     if spec.kind == "orlicz":
-        _validate_orlicz_terms(spec.orlicz)
         if len(spec.orlicz.terms) > 1:
             return _luxemburg_batch(spec.orlicz, ax)
         q = spec.orlicz.min_exponent    # M(t) = t^q: the l_q norm
@@ -326,13 +282,6 @@ def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
         active = active[rising]
         out[active] = s_new[rising]
     return out
-
-
-def subsphere_point(spec: NormSpec, theta: float) -> tuple[float, float]:
-    """One row of ``subsphere_batch``: the point (cos t, sin t) rescaled so
-    ||x2 e2 + x3 e3|| = 1 (dim 3 only)."""
-    x2, x3 = subsphere_batch(spec, [theta])[0]
-    return (float(x2), float(x3))
 
 
 def subsphere_batch(spec: NormSpec, thetas) -> np.ndarray:

@@ -21,6 +21,7 @@ only that point's row of distances.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ REFINE_STEPS = 200
 REFINE_STEP_FRACTION = 0.1
 WITNESS_EIG_FACTOR = -1e-8     # threshold: min_eig < factor * trace(G)/size
 SEARCH_CHUNKS = 16             # fixed seeded streams; changing it changes every witness
-SEARCH_BLOCK_ROWS = 1 << 14    # pair rows per search block; bounds memory, not results
+SEARCH_BLOCK_ROWS = 1 << 14    # pair rows per search block; caps memory and n_points
 SYMMETRY_TOL = 1e-12
 
 
@@ -104,9 +105,10 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     coordinate descent: perturb one point at a time, keep improvements.
 
     Each of the ``SEARCH_CHUNKS`` seeded streams draws its clouds in blocks
-    of at most ``SEARCH_BLOCK_ROWS`` pair rows (at least one cloud); a block
-    evaluates each pair norm once and solves all its (cloud, scale) kernels
-    in one stacked eigenproblem call. The first minimum in draw order wins,
+    of at most ``SEARCH_BLOCK_ROWS`` pair rows; a block evaluates each pair
+    norm once and solves all its (cloud, scale) kernels in one stacked
+    eigenproblem call. A cloud must fit in one block, which caps
+    ``n_points`` at 181. The first minimum in draw order wins,
     so the block size does not change the result. A refinement step
     recomputes only the moved point's row of the distance matrix.
 
@@ -116,11 +118,17 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     check_p(p)
     if n_points < 3:
         raise ValueError("n_points must be at least 3")
+    pairs = n_points * (n_points - 1) // 2
+    if pairs > SEARCH_BLOCK_ROWS:
+        largest = (1 + math.isqrt(1 + 8 * SEARCH_BLOCK_ROWS)) // 2
+        raise ValueError(f"n_points must be at most {largest}: {n_points} points make "
+                         f"{pairs} pairs, more than one search block of "
+                         f"{SEARCH_BLOCK_ROWS} rows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     chunks = min(SEARCH_CHUNKS, trials)
     sizes = [trials // chunks + (1 if c < trials % chunks else 0) for c in range(chunks)]
-    block = max(1, SEARCH_BLOCK_ROWS // (n_points * (n_points - 1) // 2))
+    block = SEARCH_BLOCK_ROWS // pairs
     scales = np.array(SCALE_SWEEP)[:, None, None]
 
     best_lam, best_points, best_scale = np.inf, None, None

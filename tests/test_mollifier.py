@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from _reference import (continuum_rhs_euclidean, euclidean_pairing_limit,
+from _reference import (Mollifier, continuum_rhs_euclidean, euclidean_pairing_limit,
                         fourier_constant_reference, reduced_lhs_lq, tensor_lhs)
 from levylab import mollifier
 from levylab.levy import SphericalMeasure, uniform_calibrated_measure
-from levylab.mollifier import (DemoReport, Mollifier, demo_csv,
-                               fourier_constant, identity_check, lhs_integral,
-                               rhs_value)
+from levylab.mollifier import (DemoReport, demo_csv, fourier_constant,
+                               identity_check, lhs_integral, rhs_value)
 from levylab.norms import NormSpec
 
 EUC = NormSpec.euclidean(3)
@@ -182,6 +181,12 @@ class TestLhsIntegral:
             lhs_integral(NormSpec.lq(4, 2), 0.5, 4)
         with pytest.raises(ValueError):
             lhs_integral(NormSpec.lq(1.5, 3), 0.5, 4)
+        mu = SphericalMeasure(directions=np.eye(3), weights=np.ones(3))
+        for n in (0, 2.5):                     # the bump index is a positive integer
+            with pytest.raises(ValueError, match="positive integer"):
+                lhs_integral(L4, 0.5, n)
+            with pytest.raises(ValueError, match="positive integer"):
+                rhs_value(0.5, n, mu)
 
 
 class TestContradictionScaffold:

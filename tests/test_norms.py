@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import luxemburg_norm
+from levylab.criterion import check_orlicz_flatness
 from levylab.norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
                            eval_norm, format_spec, norm_batch, parse_spec,
-                           subsphere_point, validate_orlicz)
+                           subsphere_batch)
 
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
@@ -21,7 +22,7 @@ class TestEvalNorm:
     def test_euclidean_closed_form(self):
         assert eval_norm(L2, (1, 1, 1)) == pytest.approx(math.sqrt(3), abs=1e-12)
 
-    def test_orlicz_bisection_matches_l4_closed_form(self):
+    def test_single_term_orlicz_matches_l4_closed_form(self):
         spec = NormSpec.orlicz_norm([(1.0, 4.0)], 3)
         assert eval_norm(spec, (1, 2, 2)) == pytest.approx(33 ** 0.25, abs=1e-10)
 
@@ -54,10 +55,9 @@ class TestEvalNorm:
             eval_norm(L4, (math.inf, 0.0, 0.0))
 
     def test_invalid_orlicz_rejected_at_eval(self):
-        broken = OrliczFunction(terms=((-0.5, 3.0), (1.5, 5.0)))
-        spec = NormSpec(kind="orlicz", dim=3, orlicz=broken)
-        with pytest.raises(SpecError):
-            eval_norm(spec, (1, 1, 1))
+        with pytest.raises(SpecError, match="negative coefficient"):
+            broken = OrliczFunction(terms=((-0.5, 3.0), (1.5, 5.0)))
+            eval_norm(NormSpec(kind="orlicz", dim=3, orlicz=broken), (1, 1, 1))
 
     def test_orlicz_defining_equation_residual(self):
         rng = np.random.default_rng(1)
@@ -123,8 +123,8 @@ class TestOrliczSolveOracle:
         with pytest.raises(SpecError, match="exceeds"):
             NormSpec.orlicz_norm(terms, 3)
         total = sum(a for a, _ in terms)
-        built = OrliczFunction(terms=tuple((a / total, q) for a, q in terms))
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="exceeds"):
+            built = OrliczFunction(terms=tuple((a / total, q) for a, q in terms))
             eval_norm(NormSpec(kind="orlicz", dim=3, orlicz=built), (1.0, 1.0, 1.0))
 
 
@@ -168,50 +168,56 @@ class TestNormAxioms:
 
 class TestSubsphere:
     def test_basis_direction(self):
-        assert subsphere_point(L4, 0.0) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert subsphere_batch(L4, [0.0])[0] == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_diagonal_l4(self):
         # solve ||(t, t)||_4 = 1: t = 2^(-1/4)
-        x2, x3 = subsphere_point(L4, math.pi / 4)
+        x2, x3 = subsphere_batch(L4, [math.pi / 4])[0]
         assert x2 == pytest.approx(2.0 ** -0.25, abs=1e-12)
         assert x3 == pytest.approx(2.0 ** -0.25, abs=1e-12)
 
     def test_euclidean_identity(self):
-        for theta in (0.3, 1.2, 4.0):
-            x2, x3 = subsphere_point(EUC, theta)
-            assert (x2, x3) == pytest.approx((math.cos(theta), math.sin(theta)), abs=1e-12)
+        thetas = np.array([0.3, 1.2, 4.0])
+        np.testing.assert_allclose(subsphere_batch(EUC, thetas),
+                                   np.column_stack([np.cos(thetas), np.sin(thetas)]),
+                                   rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("spec", [L2, L4, MIX])
     def test_unit_section_norm(self, spec):
-        for theta in np.linspace(0.0, 2 * math.pi, 37):
-            x2, x3 = subsphere_point(spec, theta)
-            assert eval_norm(spec, (0.0, x2, x3)) == pytest.approx(1.0, abs=1e-12)
+        pts = subsphere_batch(spec, np.linspace(0.0, 2 * math.pi, 37))
+        sections = np.column_stack([np.zeros(len(pts)), pts])
+        np.testing.assert_allclose(norm_batch(spec, sections), 1.0, rtol=0.0, atol=1e-12)
 
     def test_requires_dim_3(self):
         with pytest.raises(SpecError):
-            subsphere_point(NormSpec.lq(4, 2), 0.0)
+            subsphere_batch(NormSpec.lq(4, 2), [0.0])
 
 
 class TestValidateOrlicz:
+    """The constructor checks the invariants (M(0) = 0 and convexity hold
+    for every accepted power combination, and M(1) = 1 is enforced);
+    flatness at 0 is check_orlicz_flatness's decision."""
+
     def test_t4_all_pass(self):
-        report = validate_orlicz(OrliczFunction.from_terms([(1.0, 4.0)]))
-        assert report.passed and report.flat_at_zero
+        fn = OrliczFunction.from_terms([(1.0, 4.0)])
+        assert fn.value(0.0) == 0.0 and fn.value(1.0) == 1.0
+        assert check_orlicz_flatness(fn).eligible
 
     def test_t2_not_flat(self):
-        report = validate_orlicz(OrliczFunction.from_terms([(1.0, 2.0)]))
-        assert report.passed and report.convex
-        assert not report.flat_at_zero
-        assert any("t^2" in r for r in report.reasons)
+        fn = OrliczFunction.from_terms([(1.0, 2.0)])
+        assert np.all(fn.deriv2(np.linspace(0.0, 4.0, 1024)) >= 0.0)
+        res = check_orlicz_flatness(fn)
+        assert not res.eligible
+        assert res.reasons == ("M''(0) = 2",)   # the t^2 term: M''(0) = 2 * coefficient
 
     def test_mix_flat(self):
-        report = validate_orlicz(MIX.orlicz)
         # M'(0) = M''(0) = 0 by direct differentiation: exponents 3 and 5
-        assert report.passed and report.flat_at_zero
+        res = check_orlicz_flatness(MIX.orlicz)
+        assert res.eligible and res.reasons == ()
 
     def test_unnormalized_flagged(self):
-        raw = OrliczFunction(terms=((0.5, 3.0),))  # bypasses from_terms
-        report = validate_orlicz(raw)
-        assert not report.normalized and not report.passed
+        with pytest.raises(SpecError, match=r"M\(1\) = 0.5 != 1"):
+            OrliczFunction(terms=((0.5, 3.0),))  # bypasses from_terms
 
     def test_constructor_rejects_bad_terms(self):
         with pytest.raises(SpecError):

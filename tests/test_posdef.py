@@ -167,7 +167,7 @@ class TestWitnessSearch:
         (NormSpec.euclidean(3), 1.0, 10, 25, 5),
         (ORLICZ_5, 1.3, 7, 50, 6),
         (L4, 1.5, 3, 7, 7),
-        (L4, 1.5, 182, 2, 8),     # 16,471 pairs > SEARCH_BLOCK_ROWS: one cloud per block
+        (L4, 1.5, 181, 2, 8),     # 16,290 pairs: the largest cloud, one per block
     ])
     def test_matches_serial_reference_bit_for_bit(self, spec, p, n_points, trials, seed):
         w = witness_search(spec, p, n_points=n_points, trials=trials, seed=seed)
@@ -178,14 +178,14 @@ class TestWitnessSearch:
 
     def test_block_size_does_not_change_the_witness(self, monkeypatch):
         runs = []
-        for rows in (1, 10**9):
+        for rows in (45, 10**9):       # one 10-point cloud per block, or all in one block
             monkeypatch.setattr(posdef, "SEARCH_BLOCK_ROWS", rows)
             runs.append(witness_search(L4, 1.5, n_points=10, trials=50, seed=4))
         assert np.array_equal(runs[0].points, runs[1].points)
         assert runs[0].min_eigenvalue == runs[1].min_eigenvalue
         assert witness_csv(runs[0]) == witness_csv(runs[1])
 
-    @pytest.mark.parametrize("block_rows, n_points", [(500, 10), (10, 10), (1 << 14, 20)])
+    @pytest.mark.parametrize("block_rows, n_points", [(500, 10), (45, 10), (1 << 14, 20)])
     def test_norm_batch_rows_stay_bounded(self, monkeypatch, block_rows, n_points):
         rows, real_norm_batch = [], posdef.norm_batch
 
@@ -197,7 +197,7 @@ class TestWitnessSearch:
         monkeypatch.setattr(posdef, "norm_batch", recording_norm_batch)
         witness_search(L4, 1.5, n_points=n_points, trials=2000, seed=1)
         pairs = n_points * (n_points - 1) // 2
-        assert max(rows) <= max(block_rows, pairs)
+        assert max(rows) <= block_rows
         assert sum(rows) == 2000 * pairs + REFINE_STEPS * n_points + 2 * pairs
 
     def test_eigenproblems_counts_every_kernel_solve(self, monkeypatch):
@@ -214,6 +214,14 @@ class TestWitnessSearch:
             witness_search(L4, 1.5, n_points=5, trials=0, seed=0)
         with pytest.raises(ValueError):
             witness_search(L4, 2.5, n_points=5, trials=10, seed=0)
+
+    def test_cloud_must_fit_one_search_block(self, monkeypatch):
+        with pytest.raises(ValueError, match="at most 181: 182 points make 16471 pairs"):
+            witness_search(L4, 1.5, n_points=182, trials=1, seed=0)
+        monkeypatch.setattr(posdef, "SEARCH_BLOCK_ROWS", 45)
+        assert witness_search(L4, 1.5, n_points=10, trials=3, seed=0).points.shape == (10, 3)
+        with pytest.raises(ValueError, match="at most 10: 11 points"):
+            witness_search(L4, 1.5, n_points=11, trials=3, seed=0)
 
     def test_csv_header_carries_context(self):
         w = witness_search(L4, 1.5, n_points=8, trials=50, seed=2)
