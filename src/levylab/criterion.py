@@ -31,6 +31,9 @@ FAILS_III = "FailsConditionIII"
 NOT_APPLICABLE = "NotApplicable"
 
 DEFAULT_THETA_COUNT = 720
+# Largest theta grid: the tail estimate evaluates TAIL_SHRINKS x theta_count
+# rows in one batch, about 11 kB of memory per theta (0.25 GB at the cap).
+MAX_THETA_COUNT = 20_000
 DEFAULT_X1_MAX = 64.0
 TOL_I = 1e-8              # condition I: |d1|, d2 at x1 = 0 below this
 TOL_III = 1e-3            # condition III: the decay profile ends below this
@@ -130,8 +133,8 @@ def second_derivative_test(
 
 
 def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionReport:
-    if theta_count < 8:
-        raise ValueError(f"theta_count must be at least 8, got {theta_count}")
+    if not 8 <= theta_count <= MAX_THETA_COUNT:
+        raise ValueError(f"theta_count must lie in [8, {MAX_THETA_COUNT}], got {theta_count}")
     if not x1_max > 1e-5:
         raise ValueError(f"x1_max must exceed the scan floor 1e-5, got {x1_max}")
     if spec.dim != 3:

@@ -35,6 +35,10 @@ NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
 NNLS_REFINE_STEPS = 1          # iterative-refinement steps per passive-set solve
 NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
+# Largest level: directions (a plateau probe's 4x included) and samples.
+# solve_nnls holds two n x n arrays for n directions, and A is samples x n;
+# the dim-3 default's probe has 4096 directions.
+MAX_LEVEL_SIZE = 8192
 
 FEASIBLE = "FeasibleEvidence"
 INFEASIBLE = "InfeasibleEvidence"
@@ -404,6 +408,10 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     levels = [(int(d), int(s)) for d, s in levels]
     if not levels or any(d < 1 or s < 1 for d, s in levels):
         raise ValueError("levels must be a nonempty list of positive (directions, samples)")
+    largest = max(4 * levels[-1][0], *(max(d, s) for d, s in levels))
+    if largest > MAX_LEVEL_SIZE:
+        raise ValueError(f"levels need {largest} directions or samples (the plateau probe "
+                         f"takes 4x the last level's directions), more than {MAX_LEVEL_SIZE}")
     rng = np.random.default_rng(seed)
     sample_sets = [sample_norm_sphere(spec, s, rng) for _, s in levels]
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]

@@ -265,18 +265,31 @@ def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
     at most a factor e^0.22 across one ulp, so the root lies within about
     an ulp. Each row iterates alone, so its value does not depend on the
     rest of the batch.
+
+    The solve runs on |x| transposed once into contiguous (dim, m)
+    coordinate columns. A step forms u for the active rows, takes each
+    term's power u^{q_i} once (one contiguous array, scalar exponent),
+    accumulates M(u) and u M'(u) = sum_i a_i q_i u^{q_i} term by term in
+    exponent order, and adds the coordinate rows left to right, so no
+    reduction runs over the short term or coordinate axes.
     """
     out = np.zeros(len(ax))
-    coefs, exps = fn._arrays()
+    cols = np.ascontiguousarray(ax.T)
     active = np.flatnonzero(ax.max(axis=1) > 0.0)
     out[active] = ax[active].max(axis=1)
     for _ in range(ORLICZ_MAX_ITER):
         if len(active) == 0:
             break
         s = out[active]
-        powers = (ax[active] / s[:, None])[..., None] ** exps
-        f = (coefs * powers).sum(axis=-1).sum(axis=1) - 1.0
-        slope = (coefs * exps * powers).sum(axis=-1).sum(axis=1)   # sum_k u_k M'(u_k)
+        u = cols[:, active] / s
+        m_u = np.zeros_like(u)          # M(u_k)
+        du = np.zeros_like(u)           # u_k M'(u_k)
+        for coef, exp in fn.terms:
+            power = u ** exp
+            m_u += coef * power
+            du += (coef * exp) * power
+        f = sum(m_u) - 1.0              # the rows of a (dim, m) array, left to right
+        slope = sum(du)
         s_new = s + f * s / slope
         rising = s_new > s
         active = active[rising]

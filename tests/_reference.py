@@ -6,7 +6,8 @@ evaluates it), scipy adaptive quadrature on an analytically reduced form of
 the mollified pairing, the full 3D tensor quadrature of the same pairing (no
 reduction at all), the continuum (non-discretized) Fourier-side moment for
 the Euclidean norm, scipy's own special functions and NNLS, scipy's
-brentq on the Luxemburg equation of an Orlicz norm, and the witness search
+brentq on the Luxemburg equation of an Orlicz norm, the Orlicz Newton solve
+on a broadcast (rows, coordinates, terms) layout, and the witness search
 as a plain serial loop (full m x m distance matrices, one eigenproblem per
 scale, a full recompute per refinement step).
 """
@@ -19,7 +20,7 @@ from scipy import integrate, optimize
 from scipy.special import gamma as _gamma
 
 from levylab.derivatives import d1_d2_norm_batch
-from levylab.norms import norm_batch
+from levylab.norms import ORLICZ_MAX_ITER, norm_batch
 from levylab.posdef import (REFINE_STEP_FRACTION, REFINE_STEPS, SCALE_SWEEP,
                             SEARCH_CHUNKS, PsdWitness, kernel_matrix, min_eigenvalue)
 from levylab.quadrature import PANEL_NODES, panel_nodes, panel_sums
@@ -197,6 +198,29 @@ def luxemburg_norm(terms, x) -> float:
     root = optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps,
                            maxiter=500)
     return m * root
+
+
+def broadcast_luxemburg(fn, ax) -> np.ndarray:
+    """The Newton solve of ``norms._luxemburg_batch`` written as one
+    broadcast (m, dim, terms) power array per step, reduced over the term
+    and coordinate axes: the same start, step and stopping rule on a
+    different array layout. ``ax`` holds |x| row-wise."""
+    out = np.zeros(len(ax))
+    coefs, exps = fn._arrays()
+    active = np.flatnonzero(ax.max(axis=1) > 0.0)
+    out[active] = ax[active].max(axis=1)
+    for _ in range(ORLICZ_MAX_ITER):
+        if len(active) == 0:
+            break
+        s = out[active]
+        powers = (ax[active] / s[:, None])[..., None] ** exps
+        f = (coefs * powers).sum(axis=-1).sum(axis=1) - 1.0
+        slope = (coefs * exps * powers).sum(axis=-1).sum(axis=1)   # sum_k u_k M'(u_k)
+        s_new = s + f * s / slope
+        rising = s_new > s
+        active = active[rising]
+        out[active] = s_new[rising]
+    return out
 
 
 def full_pairwise_norms(spec, points) -> np.ndarray:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from levylab import cli
+from levylab import cli, levy
+from levylab import criterion as crit
 from levylab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_levels, spec_slug)
 
@@ -115,6 +116,15 @@ class TestCriterionCommand:
         assert (tmp_path / "criterion_lq-q-4-dim-3_1.csv").exists()
         assert not (tmp_path / "criterion_lq-q-4-dim-3_1.txt").exists()
 
+    def test_oversized_theta_count_exits_2(self, tmp_path, capsys):
+        cap = crit.MAX_THETA_COUNT
+        code = run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--theta-count", str(cap + 1),
+                        "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid configuration: theta_count must lie in [8, {cap}], got {cap + 1}"]
+        assert not (tmp_path / "manifest.txt").exists()
+
 
 class TestLevyCommand:
     def test_dim2_feasible(self, tmp_path):
@@ -155,6 +165,16 @@ class TestLevyCommand:
         assert ("plane" in reason) == (dim == 2)
         if dim != 2:
             assert "the theorem is stated for 3-dimensional spaces" in reason
+
+    def test_oversized_level_exits_2(self, tmp_path, capsys):
+        cap = levy.MAX_LEVEL_SIZE
+        code = run_cli(["levy", "--spec", "lq:q=4:dim=3", "--p", "1",
+                        "--levels", f"8:{cap + 1}", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid configuration: levels need {cap + 1} directions or samples (the "
+            f"plateau probe takes 4x the last level's directions), more than {cap}"]
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_custom_levels(self, tmp_path):
         code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",

@@ -360,6 +360,18 @@ class TestScan:
         with pytest.raises(ValueError):
             feasibility_scan(L4, 1.0, levels=[(0, 16)])
 
+    @pytest.mark.parametrize("levels", [
+        [(8, levy.MAX_LEVEL_SIZE + 1)],                     # samples
+        [(levy.MAX_LEVEL_SIZE + 1, 16), (8, 16)],           # directions
+        [(8, 16), (levy.MAX_LEVEL_SIZE // 4 + 1, 16)],      # the plateau probe's 4x
+    ])
+    def test_oversized_levels_refused_before_any_work(self, monkeypatch, levels):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the size check")
+        monkeypatch.setattr(levy, "sample_norm_sphere", no_sampling)
+        with pytest.raises(ValueError, match=f"more than {levy.MAX_LEVEL_SIZE}"):
+            feasibility_scan(L4, 1.0, levels=levels)
+
 
 class TestSerialization:
     def test_feasibility_csv_columns(self):

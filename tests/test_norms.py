@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import luxemburg_norm
+from _reference import broadcast_luxemburg, luxemburg_norm
 from levylab.criterion import check_orlicz_flatness
 from levylab.norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
                            eval_norm, format_spec, norm_batch, parse_spec,
@@ -113,6 +113,26 @@ class TestOrliczSolveOracle:
         # a row's value does not depend on the rest of its batch
         alone = np.array([norm_batch(spec, x[None, :])[0] for x in xs])
         assert np.array_equal(alone, got)
+
+    ELEVEN = [(1.0 / 11.0, q) for q in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 20.0)]
+    MIX_TERMS = [(0.5, 3.0), (0.5, 5.0)]
+
+    @pytest.mark.parametrize("terms", TERMS + [ELEVEN, MIX_TERMS],
+                             ids=lambda t: "+".join(f"t^{q:.8g}" for _, q in t))
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_matches_broadcast_newton_solve(self, terms, dim):
+        # the same Newton solve on a (rows, coordinates, terms) layout
+        spec = NormSpec.orlicz_norm(terms, dim)
+        gauss = np.random.default_rng(100 + dim).standard_normal((20_000, dim))
+        xs = np.vstack([self.rows(dim), gauss])
+        got = norm_batch(spec, xs)
+        ref = broadcast_luxemburg(spec.orlicz, np.abs(xs))
+        zero = ~np.any(xs != 0.0, axis=1)
+        assert np.all(got[zero] == 0.0) and np.all(ref[~zero] > 0.0)
+        if terms == self.MIX_TERMS and dim <= 5:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got[~zero] - ref[~zero]) / ref[~zero]) <= 1e-15
 
     @pytest.mark.parametrize("terms", [[(1.0, 2.0), (1.0, 1e300)],
                                        [(0.5, 2.0), (0.5, 1e20)],
