@@ -19,8 +19,7 @@ from .derivatives import fd_d1, fd_d2
 from .levy import (FeasibilityResult, SphericalMeasure, assemble_moment_system,
                    feasibility_scan, solve_nnls, uniform_calibrated_measure)
 from .mollifier import (ContradictionReport, DemoReport, contradiction_report,
-                        demo_run, fourier_constant, identity_check, lhs_integral,
-                        rhs_value)
+                        demo_run, fourier_constant, lhs_integral, rhs_value)
 from .norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
                     eval_norm, format_spec, norm_batch, parse_spec)
 from .posdef import PsdWitness, kernel_matrix, min_eigenvalue, witness_search
@@ -32,8 +31,8 @@ __all__ = [
     "NormSpec", "OrliczFunction", "PsdWitness", "SpecError", "SpecParseError",
     "SphericalMeasure", "assemble_moment_system", "check_orlicz_flatness",
     "contradiction_report", "demo_run", "eval_norm", "fd_d1", "fd_d2",
-    "feasibility_scan", "format_spec", "fourier_constant", "identity_check",
-    "kernel_matrix", "lhs_integral", "min_eigenvalue", "norm_batch",
-    "parse_spec", "rhs_value", "second_derivative_test", "solve_nnls",
-    "uniform_calibrated_measure", "witness_search",
+    "feasibility_scan", "format_spec", "fourier_constant", "kernel_matrix",
+    "lhs_integral", "min_eigenvalue", "norm_batch", "parse_spec", "rhs_value",
+    "second_derivative_test", "solve_nnls", "uniform_calibrated_measure",
+    "witness_search",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import NormSpec, OrliczFunction, norm_batch
+from .norms import NormSpec, OrliczFunction, eval_norm, norm_batch
 
 FD_STEP_FLOOR = 1e-5
 
@@ -72,8 +72,6 @@ def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _default_step(spec: NormSpec, x) -> float:
-    from .norms import eval_norm
-
     return max(FD_STEP_FLOOR, FD_STEP_FLOOR * eval_norm(spec, x))
 
 

@@ -372,15 +372,15 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
                         converged=converged, iterations=iterations)
 
 
-def uniform_calibrated_measure(p: float, count: int = 2048) -> SphericalMeasure:
-    """Uniform weights on the Fibonacci lattice, calibrated so the Euclidean
-    representation is exact at x = e1 (hence, by near-uniformity, accurate
-    everywhere). This is the discrete stand-in for the rotation-invariant
-    measure representing the Euclidean norm."""
+def uniform_calibrated_measure(p: float) -> SphericalMeasure:
+    """Uniform weights on the 2048-point Fibonacci lattice, calibrated so the
+    Euclidean representation is exact at x = e1 (hence, by near-uniformity,
+    accurate everywhere). This is the discrete stand-in for the
+    rotation-invariant measure representing the Euclidean norm."""
     check_p(p)
-    dirs = direction_grid(3, count)
+    dirs = direction_grid(3, 2048)
     mass = float((np.abs(dirs[:, 0]) ** p).sum())
-    weights = np.full(count, 1.0 / mass)
+    weights = np.full(len(dirs), 1.0 / mass)
     return SphericalMeasure(directions=dirs, weights=weights)
 
 

@@ -19,7 +19,7 @@ Spec strings use the grammar (also documented in the cli module):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,9 @@ class OrliczFunction:
     """Power combination M(t) = sum_i a_i t^{q_i}, normalized to M(1) = 1.
 
     ``terms`` holds (coefficient, exponent) pairs sorted by exponent.
-    ``scale`` records the factor divided out of the raw coefficients to
-    enforce the normalization.
     """
 
     terms: tuple[tuple[float, float], ...]
-    scale: float = field(default=1.0, compare=False)
 
     def __post_init__(self):
         """The invariants: finite nonnegative coefficients, exponents in
@@ -100,14 +97,11 @@ class OrliczFunction:
             total = math.fsum(merged.values())
         except OverflowError:
             raise OrliczError("the coefficients sum to more than the largest float") from None
-        if abs(total - 1.0) <= 4 * np.finfo(float).eps:
-            scale = 1.0
-        else:
-            scale = total
+        if abs(total - 1.0) > 4 * np.finfo(float).eps:
             merged = {exp: coef / total for exp, coef in merged.items()}
         ordered = tuple(sorted(((coef, exp) for exp, coef in merged.items()),
                                key=lambda item: item[1]))
-        return cls(terms=ordered, scale=scale)
+        return cls(terms=ordered)
 
     def _arrays(self):
         coefs = np.array([c for c, _ in self.terms])

@@ -76,10 +76,6 @@ class QuadResult:
     panels: int
     converged: bool
 
-    @property
-    def scalar(self) -> float:
-        return float(self.value.sum())
-
 
 def panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronrod abscissae for a batch of panels: shape (len(a), 15)."""

@@ -52,7 +52,7 @@ class Mollifier:
         top = 12.0 / self.n
         res = gk_integrate(self.h, 0.0, top, rel_tol=1e-12,
                            breakpoints=[top * 2.0 ** -k for k in range(1, 8)])
-        return 2.0 * res.scalar
+        return 2.0 * float(res.value.sum())
 
     def tail_mass(self, delta: float) -> float:
         """Quadrature of h_n over |x1| > delta."""
@@ -61,7 +61,7 @@ class Mollifier:
         top = delta + 12.0 / self.n
         res = gk_integrate(self.h, delta, top, rel_tol=1e-12,
                            breakpoints=[delta + (top - delta) * k / 8 for k in range(1, 8)])
-        return 2.0 * res.scalar
+        return 2.0 * float(res.value.sum())
 
 
 def _lq_slice(q: float, s, cphi: float, sphi: float):
@@ -140,7 +140,7 @@ def tensor_lhs(spec, p: float, n: int, rel_tol: float = 1e-5) -> float:
         res = gk_integrate(lambda r: plane_integrand(r, math.cos(phi), math.sin(phi)),
                            0.0, r_cut, rel_tol=1e-7, max_panels=512,
                            breakpoints=[r_cut * 2.0 ** -k for k in range(1, 49)])
-        return res.scalar
+        return float(res.value.sum())
 
     m = 16
     vals = [phi_slice(2.0 * math.pi * k / m) for k in range(m)]

@@ -248,15 +248,22 @@ class TestDeriveCommand:
 
 
 class TestDeterminism:
-    def test_reruns_are_byte_identical(self, tmp_path):
+    @staticmethod
+    def assert_reruns_identical(tmp_path, argv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        argv = ["levy", "--spec", "lq:q=4:dim=2", "--p", "1", "--seed", "7"]
         run_cli(argv + ["--out", str(out_a)])
         run_cli(argv + ["--out", str(out_b)])
         files_a = sorted(f.name for f in out_a.iterdir())
         assert files_a == sorted(f.name for f in out_b.iterdir())
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        self.assert_reruns_identical(
+            tmp_path, ["levy", "--spec", "lq:q=4:dim=2", "--p", "1", "--seed", "7"])
+
+    def test_demo_reruns_are_byte_identical(self, tmp_path):
+        self.assert_reruns_identical(tmp_path, ["demo", "--spec", "euclidean:dim=3", "--p", "0.5"])
 
 
 class TestTimings:

@@ -277,7 +277,7 @@ class TestMeasure:
         assert representation_error(L4, 1.0, mu, [(1.0, 0.0, 0.0)]) == 1.0
 
     def test_calibrated_uniform_measure_accuracy(self):
-        mu = uniform_calibrated_measure(1.0, 2048)
+        mu = uniform_calibrated_measure(1.0)
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((200, 3)) * 1.7
         assert representation_error(EUC, 1.0, mu, pts) <= 1e-3

@@ -7,8 +7,8 @@ from _reference import (Mollifier, continuum_rhs_euclidean, euclidean_pairing_li
                         fourier_constant_reference, reduced_lhs_lq, tensor_lhs)
 from levylab import mollifier
 from levylab.levy import SphericalMeasure, uniform_calibrated_measure
-from levylab.mollifier import (DemoReport, demo_csv, fourier_constant,
-                               identity_check, lhs_integral, rhs_value)
+from levylab.mollifier import (DemoReport, demo_csv, fourier_constant, lhs_integral,
+                               rhs_value)
 from levylab.norms import NormSpec
 
 EUC = NormSpec.euclidean(3)
@@ -217,11 +217,16 @@ class TestContradictionScaffold:
 
 class TestIdentity:
     def test_euclidean_identity_short(self):
-        report = identity_check(0.5, n_list=(4, 8))
-        assert report.max_rel_gap <= 2e-2
+        # the Euclidean norm's representing measure is the calibrated uniform
+        # one, so the direct and the Fourier-side pairing must agree
+        mu = uniform_calibrated_measure(0.5)
+        for n in (4, 8):
+            lhs = lhs_integral(EUC, 0.5, n).value
+            rhs, _ = rhs_value(0.5, n, mu)
+            assert abs(lhs - rhs) / abs(rhs) <= 2e-2
 
     def test_discrete_rhs_tracks_continuum(self):
-        mu = uniform_calibrated_measure(0.5, 2048)
+        mu = uniform_calibrated_measure(0.5)
         for n in (2, 8):
             value, _ = rhs_value(0.5, n, mu)
             assert value == pytest.approx(continuum_rhs_euclidean(0.5, n), rel=1e-3)
@@ -231,7 +236,7 @@ class TestIdentity:
         # limit), but both routes stay below it, increase monotonically,
         # and agree with each other
         limit = euclidean_pairing_limit(0.5)
-        mu = uniform_calibrated_measure(0.5, 2048)
+        mu = uniform_calibrated_measure(0.5)
         rhs_seq = [rhs_value(0.5, n, mu)[0] for n in (4, 8, 16, 32)]
         assert all(b > a for a, b in zip(rhs_seq, rhs_seq[1:]))
         assert all(v < limit for v in rhs_seq)

@@ -248,9 +248,20 @@ class TestValidateOrlicz:
             OrliczFunction.from_terms([])
 
     def test_normalization_rescales_and_records(self):
+        eps = np.finfo(float).eps
+        # coefficients summing to within 4 eps of 1 are kept bit for bit
+        # (dividing by the sums 1 + eps and 1 + 2 eps would move them)
+        for terms in ([(0.5, 3.0), (0.5 + eps, 5.0)],
+                      [(0.25, 2.0), (0.25, 3.0), (0.5 + 2 * eps, 5.0)]):
+            assert OrliczFunction.from_terms(terms).terms == tuple(terms)
+        # any other sum is divided out
         fn = OrliczFunction.from_terms([(2.0, 3.0), (2.0, 5.0)])
+        assert fn.terms == ((0.5, 3.0), (0.5, 5.0))
         assert fn.value(1.0) == pytest.approx(1.0, abs=1e-15)
-        assert fn.scale == pytest.approx(4.0)
+        # duplicate exponents merge before the sum is taken
+        for terms in ([(1.0, 3.0), (2.0, 5.0), (1.0, 3.0)],
+                      [(0.25, 3.0), (0.5, 5.0), (0.25, 3.0)]):
+            assert OrliczFunction.from_terms(terms).terms == ((0.5, 3.0), (0.5, 5.0))
 
 
 class TestSpecGrammar:
