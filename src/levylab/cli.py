@@ -11,9 +11,14 @@ Spec grammar (exact):
 Subcommands: criterion, levy, posdef, demo, all, derive. Artifacts are
 written to --out as <command>_<spec-slug>_<p>.{csv,txt}; a manifest.txt
 lists every artifact with its sha256 and echoes the effective config.
-CSV uses '.' decimals, 17 significant digits, and LF line endings, so a
-rerun with the same config is byte-identical. --timings prints each
+Every command writes its CSV and its structured text report (derive
+writes CSV only). CSV uses '.' decimals, 17 significant digits, and LF
+line endings, so a rerun with the same config is byte-identical. The
+--out directory is created before any route runs. --timings prints each
 route's wall time to stderr and changes no artifact.
+
+Flags: --spec --p --seed --theta-count --levels --trials --points --out
+--timings.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
 non-convergence or failure, or a conflict between routes.
@@ -43,8 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-FORMATS = ("csv", "structured-report")
-
 DERIVE_PROBES = (
     (0.5, 1.0, 0.25),
     (1.0, 1.0, 1.0),
@@ -62,12 +65,10 @@ class RunConfig:
     p: float = 1.0
     seed: int = 0
     theta_count: int = crit.DEFAULT_THETA_COUNT
-    x1_max: float = crit.DEFAULT_X1_MAX
     levels: str = ""
     trials: int = 2000
     points: int = 20
     out: str = "."
-    formats: tuple[str, ...] = FORMATS
     timings: bool = False      # stderr only: never echoed, never in an artifact
 
     def echo_lines(self) -> list[str]:
@@ -77,11 +78,9 @@ class RunConfig:
             f"p={self.p:g}",
             f"seed={self.seed}",
             f"theta_count={self.theta_count}",
-            f"x1_max={self.x1_max:g}",
             f"levels={self.levels}",
             f"trials={self.trials}",
             f"points={self.points}",
-            f"formats={','.join(self.formats)}",
         ]
 
 
@@ -113,8 +112,7 @@ def _artifact_name(config: RunConfig, suffix: str, tag: str = "") -> str:
 
 
 def _run_criterion(config: RunConfig, spec: NormSpec, banner: list):
-    report = crit.second_derivative_test(spec, theta_count=config.theta_count,
-                                         x1_max=config.x1_max)
+    report = crit.second_derivative_test(spec, theta_count=config.theta_count)
     artifacts = {
         _artifact_name(config, "csv"): crit.decay_profile_csv(report),
         _artifact_name(config, "txt"): crit.report_text(report),
@@ -245,6 +243,12 @@ def run(config: RunConfig) -> int:
         print(f"invalid levels: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    try:
+        Path(config.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"invalid configuration: --out {config.out!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
+
     banner: list[str] = []
     try:
         artifacts, _, status = _run_route(config, spec, banner)
@@ -263,19 +267,11 @@ def run(config: RunConfig) -> int:
 
 def _write_artifacts(config: RunConfig, artifacts: dict, banner: list, status: int) -> None:
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    keep = {}
-    for name, content in sorted(artifacts.items()):
-        if name.endswith(".csv") and "csv" not in config.formats:
-            continue
-        if name.endswith(".txt") and "structured-report" not in config.formats:
-            continue
-        keep[name] = content
     manifest = ["# levylab run manifest"]
     manifest += config.echo_lines()
     manifest.append(f"exit_status={status}")
     manifest += banner
-    for name, content in keep.items():
+    for name, content in sorted(artifacts.items()):
         data = content.encode()
         (out_dir / name).write_bytes(data)
         manifest.append(f"file={name} sha256={hashlib.sha256(data).hexdigest()}")
@@ -293,14 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=default_p)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--theta-count", type=int, default=crit.DEFAULT_THETA_COUNT)
-        sp.add_argument("--x1-max", type=float, default=crit.DEFAULT_X1_MAX)
         sp.add_argument("--levels", default="",
                         help="refinement levels 'dirs:samples,...' (empty = defaults)")
         sp.add_argument("--trials", type=int, default=2000)
         sp.add_argument("--points", type=int, default=20)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--format", dest="formats", default="csv,structured-report",
-                        help="comma subset of {csv, structured-report}")
         sp.add_argument("--timings", action="store_true",
                         help="print each route's wall time to stderr (no artifact changes)")
 
@@ -309,30 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    bad = [f for f in formats if f not in FORMATS]
-    if bad:
-        raise SpecError(f"unknown formats {bad}; choose from {FORMATS}")
-    if not formats:
-        raise SpecError("at least one output format is required")
-    return RunConfig(
-        command=args.command, spec=args.spec, p=args.p, seed=args.seed,
-        theta_count=args.theta_count, x1_max=args.x1_max, levels=args.levels,
-        trials=args.trials, points=args.points, out=args.out, formats=formats,
-        timings=args.timings,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except SpecError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(config)
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -31,10 +31,12 @@ FAILS_III = "FailsConditionIII"
 NOT_APPLICABLE = "NotApplicable"
 
 DEFAULT_THETA_COUNT = 720
-# Largest theta grid: the tail estimate evaluates TAIL_SHRINKS x theta_count
-# rows in one batch, about 11 kB of memory per theta (0.25 GB at the cap).
+# Largest theta grid: the largest derivative batch is 16 x theta_count rows.
 MAX_THETA_COUNT = 20_000
-DEFAULT_X1_MAX = 64.0
+# Upper end of the x1 scan. A power of two, so the dyadic tail beyond it
+# lands on exactly the rows the scan would (d1_d2_norm_batch prescales by
+# powers of two).
+X1_MAX = 64.0
 TOL_I = 1e-8              # condition I: |d1|, d2 at x1 = 0 below this
 TOL_III = 1e-3            # condition III: the decay profile ends below this
 SCAN_X1_POINTS = 128
@@ -113,30 +115,26 @@ def _not_applicable(spec: NormSpec, reason: str, theta_count: int) -> CriterionR
                            theta_count=theta_count)
 
 
-def second_derivative_test(
-    spec: NormSpec,
-    theta_count: int = DEFAULT_THETA_COUNT,
-    x1_max: float = DEFAULT_X1_MAX,
-) -> CriterionReport:
+def second_derivative_test(spec: NormSpec,
+                           theta_count: int = DEFAULT_THETA_COUNT) -> CriterionReport:
     """Check conditions I-III on grids and return a verdict report.
 
     The supremum behind condition II is reduced to a compact scan plus a tail
-    estimate: d2 is homogeneous of degree -1, so for x1 beyond the scan range
-    d2(x1, y) = (1/x1) d2(1, y/x1), which is sampled over shrinking arguments.
+    estimate: d2 is homogeneous of degree -1, so beyond X1_MAX the scan is
+    continued on the dyadic grid x1 = X1_MAX 2^k, which by homogeneity
+    samples d2(1, y/x1) / x1 over shrinking arguments.
     For Orlicz specs the report also carries :func:`check_orlicz_flatness`,
     and ``report.disagreement`` says when it contradicts the grid verdict.
     """
-    report = _grid_test(spec, theta_count, x1_max)
+    report = _grid_test(spec, theta_count)
     if spec.kind == "orlicz":
         report.analytic_flatness = check_orlicz_flatness(spec.orlicz)
     return report
 
 
-def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionReport:
+def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
     if not 8 <= theta_count <= MAX_THETA_COUNT:
         raise ValueError(f"theta_count must lie in [8, {MAX_THETA_COUNT}], got {theta_count}")
-    if not x1_max > 1e-5:
-        raise ValueError(f"x1_max must exceed the scan floor 1e-5, got {x1_max}")
     if spec.dim != 3:
         why = ("the test is vacuous in dim 2, where every normed plane embeds "
                "isometrically in L_p for p <= 1" if spec.dim == 2
@@ -156,28 +154,28 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionRepo
     thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
     tube = subsphere_batch(spec, thetas)            # ||x2 e2 + x3 e3|| = 1
 
-    def d2_at(x1_values: np.ndarray) -> np.ndarray:
-        """sup-ready d2 grid: rows = x1 values, columns = tube points."""
-        blocks = np.array_split(np.asarray(x1_values, dtype=float),
-                                max(1, len(x1_values) // 16))
-        rows = []
-        for block in blocks:     # 16 x1 values per batch bounds peak memory
-            pts = np.concatenate([
-                np.column_stack([np.full(len(tube), x1), tube]) for x1 in block
-            ])
-            _, d2, _ = d1_d2_norm_batch(fn, pts)
-            rows.append(d2.reshape(len(block), len(tube)))
-        return np.concatenate(rows)
+    def grid(x1_values, tube_pts) -> tuple[np.ndarray, np.ndarray]:
+        """(d1, d2) at every (x1, tube point) pair: rows = x1 values,
+        columns = tube points."""
+        x1_values = np.asarray(x1_values, dtype=float)
+        d1s, d2s = [], []
+        # at most 16 x1 values per batch bounds peak memory
+        for block in np.array_split(x1_values, -(-len(x1_values) // 16)):
+            pts = np.column_stack([np.repeat(block, len(tube_pts)),
+                                   np.tile(tube_pts, (len(block), 1))])
+            d1, d2, _ = d1_d2_norm_batch(fn, pts)
+            d1s.append(d1.reshape(len(block), len(tube_pts)))
+            d2s.append(d2.reshape(len(block), len(tube_pts)))
+        return np.concatenate(d1s), np.concatenate(d2s)
 
     # condition I: derivatives at x1 = 0 over the theta grid
-    zero_pts = np.column_stack([np.zeros(len(tube)), tube])
-    d1_zero, d2_zero, _ = d1_d2_norm_batch(fn, zero_pts)
+    d1_zero, d2_zero = grid([0.0], tube)
     cond_i_max_d1 = float(np.max(np.abs(d1_zero)))
     cond_i_max_d2 = float(np.max(d2_zero))
 
-    # condition II: scan x1 in logspace plus a homogeneity tail estimate
-    x1_scan = np.logspace(-6.0, math.log10(x1_max), SCAN_X1_POINTS)
-    scan = d2_at(x1_scan)
+    # condition II: scan x1 in logspace, continued past X1_MAX on a dyadic tail
+    x1_scan = np.logspace(-6.0, math.log10(X1_MAX), SCAN_X1_POINTS)
+    scan = grid(x1_scan, tube)[1]
     scan_sup = scan.max(axis=1)
     k_scan_idx = int(np.argmax(scan_sup))
     k_scan = float(scan_sup[k_scan_idx])
@@ -190,25 +188,15 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionRepo
     dtheta = 2.0 * math.pi / theta_count
     for _ in range(4):
         x1_local = np.linspace(max(peak_x1 - dx1, 1e-9), peak_x1 + dx1, 33)
-        tube_pt = subsphere_batch(spec, np.array([peak_theta]))[0]
-        pts = np.column_stack([x1_local,
-                               np.full(len(x1_local), tube_pt[0]),
-                               np.full(len(x1_local), tube_pt[1])])
-        _, vals, _ = d1_d2_norm_batch(fn, pts)
+        vals = grid(x1_local, subsphere_batch(spec, np.array([peak_theta])))[1][:, 0]
         peak_x1 = float(x1_local[int(np.argmax(vals))])
         theta_local = np.linspace(peak_theta - dtheta, peak_theta + dtheta, 33)
-        tube_local = subsphere_batch(spec, theta_local)
-        pts = np.column_stack([np.full(len(theta_local), peak_x1), tube_local])
-        _, vals, _ = d1_d2_norm_batch(fn, pts)
+        vals = grid([peak_x1], subsphere_batch(spec, theta_local))[1][0]
         peak_theta = float(theta_local[int(np.argmax(vals))])
         k_scan = max(k_scan, float(vals.max()))
         dx1 /= 8.0
         dtheta /= 8.0
-    sigmas = 2.0 ** -np.arange(TAIL_SHRINKS) / x1_max    # sigma = 1/x1 < 1/x1_max
-    pts = np.concatenate([np.column_stack([np.ones(len(tube)), tube * sigma])
-                          for sigma in sigmas])
-    _, d2, _ = d1_d2_norm_batch(fn, pts)
-    tail_est = max((sigmas * d2.reshape(TAIL_SHRINKS, len(tube)).max(axis=1)).tolist())
+    tail_est = float(grid(X1_MAX * 2.0 ** np.arange(TAIL_SHRINKS), tube)[1].max())
     k_hat = max(k_scan, tail_est, cond_i_max_d2)
     cond_ii_ok = (k_scan_idx < SCAN_X1_POINTS - 1) and (tail_est <= k_scan)
 
@@ -217,7 +205,7 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionRepo
     # for flatter norms); only the stretch from the peak downward is evidence
     # about the limit, so the profile is reported from its maximum.
     dyadic = 2.0 ** -np.arange(DECAY_LADDER)
-    ladder_sup = d2_at(dyadic).max(axis=1)
+    ladder_sup = grid(dyadic, tube)[1].max(axis=1)
     peak = int(np.argmax(ladder_sup))
     decay_sup = ladder_sup[peak:]
     profile = tuple((float(x1), float(v)) for x1, v in zip(dyadic[peak:], decay_sup))
@@ -252,7 +240,7 @@ def _grid_test(spec: NormSpec, theta_count: int, x1_max: float) -> CriterionRepo
         k_hat_at_x1=peak_x1,
         decay_profile=profile,
         theta_count=theta_count,
-        x1_grid=(f"logspace(1e-06, {x1_max:g}, {SCAN_X1_POINTS}) for the bound scan; "
+        x1_grid=(f"logspace(1e-06, {X1_MAX:g}, {SCAN_X1_POINTS}) for the bound scan; "
                  f"2^-k, k = 0..{DECAY_LADDER - 1} for the decay ladder, "
                  "profile reported from its maximum"),
     )

@@ -193,8 +193,7 @@ def assemble_moment_system(spec: NormSpec, p: float, samples, directions):
     return A, b
 
 
-def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
-               max_iter: int | None = None) -> NnlsSolution:
+def solve_nnls(A, b) -> NnlsSolution:
     """Minimize ||A w - b||_2 subject to w >= 0, Lawson-Hanson active set.
 
     Each passive-set subproblem G_PP z = (A^T b)_P, with G = A^T A, is solved
@@ -224,9 +223,9 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     normal equations.
 
     Deterministic for fixed input: the entering column is always the first
-    index attaining the largest dual value. Hitting the iteration cap
-    (10 * columns by default) returns ``converged = False`` rather than
-    raising, so callers can surface an inconclusive verdict.
+    index attaining the largest dual value above NNLS_DUAL_TOL. Hitting the
+    iteration cap (NNLS_ITER_FACTOR * columns) returns ``converged = False``
+    rather than raising, so callers can surface an inconclusive verdict.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -235,8 +234,7 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in the system")
     m, n = A.shape
-    if max_iter is None:
-        max_iter = NNLS_ITER_FACTOR * n
+    max_iter = NNLS_ITER_FACTOR * n
     b_norm = float(np.linalg.norm(b))
 
     atb = A.T @ b
@@ -328,7 +326,7 @@ def solve_nnls(A, b, dual_tol: float = NNLS_DUAL_TOL,
     converged = True
 
     while True:
-        candidates = ~passive & (w > dual_tol)
+        candidates = ~passive & (w > NNLS_DUAL_TOL)
         while np.any(candidates):
             j = int(np.argmax(np.where(candidates, w, -np.inf)))
             if enter(j):

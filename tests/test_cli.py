@@ -44,9 +44,24 @@ class TestParsing:
         assert code == EXIT_CONFIG
         assert "exceeds 1e+15" in capsys.readouterr().err
 
-    def test_bad_format_exits_2(self, tmp_path):
-        assert run_cli(["criterion", "--spec", "lq:q=4:dim=3",
-                        "--format", "pdf", "--out", str(tmp_path)]) == EXIT_CONFIG
+    @pytest.mark.parametrize("flag, value", [("--format", "csv"), ("--x1-max", "64")])
+    def test_removed_flags_exit_2(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["criterion", "--spec", "lq:q=4:dim=3", flag, value,
+                     "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        code = run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        strerror = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid configuration: --out {str(out)!r}: {strerror}"]
+        assert blocker.read_text() == ""
 
 
 class TestCriterionCommand:
@@ -77,12 +92,6 @@ class TestCriterionCommand:
                 data = (tmp_path / name.removeprefix("file=")).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_x1_max_below_scan_floor_exits_2(self, tmp_path, capsys):
-        code = run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--x1-max", "5e-6",
-                        "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "must exceed the scan floor 1e-5" in capsys.readouterr().err
-
     def test_orlicz_route_disagreement_reported(self, tmp_path):
         # M(t) = t^2.0000001: M'(0) = M''(0) = 0 proves conditions I-III,
         # while d2 decays like x1^1e-7, too slowly for the grid's ladder
@@ -109,12 +118,6 @@ class TestCriterionCommand:
             assert "analytic_flatness:" not in report
         else:
             assert f"\n{flat_line}\n" in report
-
-    def test_csv_only_format(self, tmp_path):
-        run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--format", "csv",
-                 "--out", str(tmp_path)])
-        assert (tmp_path / "criterion_lq-q-4-dim-3_1.csv").exists()
-        assert not (tmp_path / "criterion_lq-q-4-dim-3_1.txt").exists()
 
     def test_oversized_theta_count_exits_2(self, tmp_path, capsys):
         cap = crit.MAX_THETA_COUNT

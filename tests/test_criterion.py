@@ -6,6 +6,41 @@ import pytest
 from levylab import criterion as cr
 from levylab.norms import NormSpec, OrliczFunction, parse_spec
 
+# Criterion values at the default grid, frozen from the earlier six-batch grid
+# test; decay[k] is sup_theta d2 at x1 = 2^-k, the profile starting at x1 = 1.
+PINNED = {
+    "lq:q=4:dim=3": {
+        "k_hat": 1.0529971310778756,
+        "k_hat_at_x1": 0.7952727369459434,
+        "decay": [
+            0.8919053362520413, 0.6745056946277422, 0.1862251125955288,
+            0.04685497956028924, 0.011718437082180228, 0.0029296826105628965,
+            0.0007324217986024517, 0.00018310546755628837, 4.577636716884829e-05,
+            1.1444091796583575e-05, 2.861022949214199e-06, 7.152557373046169e-07,
+            1.788139343261709e-07, 4.470348358154298e-08, 1.117587089538575e-08,
+            2.793967723846438e-09, 6.984919309616095e-10, 1.7462298274040238e-10,
+            4.3655745685100594e-11, 1.0913936421275149e-11, 2.728484105318787e-12,
+            6.821210263296968e-13, 1.705302565824242e-13, 4.263256414560605e-14,
+            1.0658141036401512e-14, 2.664535259100378e-15,
+        ],
+    },
+    "orlicz:terms=0.5*t^3+0.5*t^5:dim=3": {
+        "k_hat": 1.0571372715618577,
+        "k_hat_at_x1": 0.8235612182716407,
+        "decay": [
+            0.9186932859682149, 0.650595462584303, 0.2352900002299088,
+            0.1030865165528367, 0.049658778900754035, 0.024591672428497365,
+            0.01226601408271034, 0.006129272973407731, 0.003064169340850141,
+            0.0015320262530844743, 0.0007660058228694369, 0.00038300199838156666,
+            0.00019150088505326138, 9.575042825907313e-05, 4.78752123460689e-05,
+            2.3937605950099557e-05, 1.1968802947182826e-05, 5.984401470108039e-06,
+            2.9922007346185973e-06, 1.4961003672548709e-06, 7.48050183620632e-07,
+            3.7402509180946556e-07, 1.8701254590462648e-07, 9.350627295229995e-08,
+            4.6753136476148314e-08, 2.337656823807395e-08,
+        ],
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def reports():
@@ -55,8 +90,6 @@ class TestVerdicts:
     def test_degenerate_grid_parameters_rejected(self):
         with pytest.raises(ValueError):
             cr.second_derivative_test(NormSpec.lq(4, 3), theta_count=4)
-        with pytest.raises(ValueError):
-            cr.second_derivative_test(NormSpec.lq(4, 3), x1_max=1e-6)
 
 
 class TestReportInvariants:
@@ -75,11 +108,23 @@ class TestReportInvariants:
             assert report.cond_i_max_d2 <= report.k_hat
 
     @pytest.mark.parametrize("q", [3, 4, 6])
-    def test_k_hat_stable_under_grid_doubling(self, q):
+    def test_k_hat_stable_under_grid_doubling(self, q, monkeypatch):
         spec = NormSpec.lq(q, 3)
         base = cr.second_derivative_test(spec)
-        fine = cr.second_derivative_test(spec, theta_count=1440, x1_max=128.0)
+        monkeypatch.setattr(cr, "X1_MAX", 128.0)    # doubled, still a power of two
+        fine = cr.second_derivative_test(spec, theta_count=1440)
         assert abs(fine.k_hat - base.k_hat) / base.k_hat < 0.05
+
+    @pytest.mark.parametrize("label", ["lq:q=4:dim=3", "orlicz:terms=0.5*t^3+0.5*t^5:dim=3"])
+    def test_report_values_pinned(self, reports, label):
+        report = reports[label]
+        expected = PINNED[label]
+        assert report.k_hat == expected["k_hat"]
+        assert report.k_hat_at_x1 == expected["k_hat_at_x1"]
+        assert report.cond_i_max_d1 == 0.0
+        assert report.cond_i_max_d2 == 0.0
+        assert report.decay_profile == tuple(
+            (2.0 ** -k, v) for k, v in enumerate(expected["decay"]))
 
     def test_assumptions_recorded(self, reports):
         report = reports["lq:q=4:dim=3"]

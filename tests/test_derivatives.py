@@ -103,6 +103,21 @@ class TestSymmetriesAndBounds:
         section_norms = norm_batch(SMIX, sections)
         assert np.all(d2 <= report.k_hat / section_norms * (1.0 + 1e-9))
 
+    @pytest.mark.parametrize(
+        "fn", [T4, T2, MIX, OrliczFunction.from_terms([(0.2, 3.0), (0.3, 4.0), (0.5, 7.0)])],
+        ids=["t^4", "t^2", "mix", "three-term"])
+    def test_exact_power_of_two_homogeneity(self, fn):
+        # the criterion's condition-II tail is its scan continued on
+        # x1 = X1_MAX 2^k, which rests on this holding bit for bit
+        pts = _random_points(np.random.default_rng(17), 500)
+        d1, d2, nrm = d1_d2_norm_batch(fn, pts)
+        for k in range(-40, 41):
+            scale = 2.0 ** k
+            d1_s, d2_s, nrm_s = d1_d2_norm_batch(fn, scale * pts)
+            assert np.array_equal(d1_s, d1)
+            assert np.array_equal(d2_s * scale, d2)
+            assert np.array_equal(nrm_s / scale, nrm)
+
     @settings(max_examples=40)
     @given(st.floats(-4, 4), st.floats(0.2, 3), st.floats(-3, 3),
            st.floats(0.25, 4))
@@ -117,8 +132,9 @@ class TestBatching:
         "fn", [T4, T2, MIX, OrliczFunction.from_terms([(0.3, 2.0), (0.7, 7.5)])],
         ids=["t^4", "t^2", "mix", "t^2+t^7.5"])
     def test_rows_equal_points_evaluated_alone(self, fn):
-        # the derive probes, random points, and the criterion's tail rows
-        # (x1 = 1, shrinking sections) all go through one call
+        # the derive probes, random points, and rows x1 = 1 with shrinking
+        # sections (the criterion's tail rows after prescaling) all go
+        # through one call
         rng = np.random.default_rng(31)
         tube = _random_points(rng, 40)[:, 1:]
         tail = np.concatenate([np.column_stack([np.ones(len(tube)), tube * 2.0 ** -k])

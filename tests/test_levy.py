@@ -31,15 +31,16 @@ def assert_matches_reference(A, b):
     return mine
 
 
-def check_rank_deficient(rows, extra, dual_tol):
+def check_rank_deficient(monkeypatch, rows, extra, dual_tol):
     """12 columns plus a duplicate of column 3 or a zero column; the extra
     column must never be factored beside its twin."""
+    monkeypatch.setattr(levy, "NNLS_DUAL_TOL", dual_tol)
     rng = np.random.default_rng(13)
     A = rng.random((rows, 12))
     M = np.column_stack([A, A[:, 3] if extra == "duplicate" else np.zeros(rows)])
     for b in (2.0 * A[:, 3] + 0.3 * rng.random(rows), rng.standard_normal(rows),
               A @ rng.random(12)):
-        sol = solve_nnls(M, b, dual_tol=dual_tol)
+        sol = solve_nnls(M, b)
         _, r_ref = scipy_nnls(M, b)
         assert sol.converged
         assert np.all(sol.weights >= 0.0)
@@ -138,10 +139,11 @@ class TestNnls:
         rng = np.random.default_rng(seed)
         assert_matches_reference(rng.standard_normal((15, 40)), rng.standard_normal(15))
 
-    def test_iteration_cap_reports_nonconvergence(self):
+    def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(levy, "NNLS_ITER_FACTOR", 0.1)     # cap = 1 on 10 columns
         rng = np.random.default_rng(5)
         A = rng.random((30, 10))
-        sol = solve_nnls(A, rng.random(30), max_iter=1)
+        sol = solve_nnls(A, rng.random(30))
         assert not sol.converged
 
     def test_nonnegativity(self):
@@ -206,15 +208,15 @@ class TestNnls:
 
     @pytest.mark.parametrize("dual_tol", [levy.NNLS_DUAL_TOL, 0.0])
     @pytest.mark.parametrize("extra", ["duplicate", "zero"])
-    def test_rank_deficient_columns(self, extra, dual_tol):
+    def test_rank_deficient_columns(self, monkeypatch, extra, dual_tol):
         # dual_tol = 0 lets the duplicate's rounding-level dual select it
         # after its twin entered; it must be passed over, not factored
-        check_rank_deficient(50, extra, dual_tol)
+        check_rank_deficient(monkeypatch, 50, extra, dual_tol)
 
     @pytest.mark.parametrize("dual_tol", [levy.NNLS_DUAL_TOL, 0.0])
     @pytest.mark.parametrize("extra", ["duplicate", "zero"])
-    def test_wide_rank_deficient_columns(self, extra, dual_tol):
-        check_rank_deficient(10, extra, dual_tol)
+    def test_wide_rank_deficient_columns(self, monkeypatch, extra, dual_tol):
+        check_rank_deficient(monkeypatch, 10, extra, dual_tol)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_column_removals_match_reference_solver(self, seed):
