@@ -159,8 +159,9 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
         columns = tube points."""
         x1_values = np.asarray(x1_values, dtype=float)
         d1s, d2s = [], []
-        # at most 16 x1 values per batch bounds peak memory
-        for block in np.array_split(x1_values, -(-len(x1_values) // 16)):
+        # at most 16 * theta_count rows per batch bounds peak memory
+        per_batch = 16 * theta_count // len(tube_pts)
+        for block in np.array_split(x1_values, -(-len(x1_values) // per_batch)):
             pts = np.column_stack([np.repeat(block, len(tube_pts)),
                                    np.tile(tube_pts, (len(block), 1))])
             d1, d2, _ = d1_d2_norm_batch(fn, pts)

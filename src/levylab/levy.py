@@ -31,9 +31,9 @@ FEASIBLE_RESIDUAL = 1e-3       # final residual below this (and decreasing) = fe
 PLATEAU_RESIDUAL = 1e-2        # residual above this at every level is plateau territory
 PLATEAU_REL_CHANGE = 0.10      # <10% residual change under 4x directions = plateau
 LEVEL_DECREASE_SLACK = 1.05    # per-level residual may wiggle up by at most 5%
+RESIDUAL_FLOOR = 1e-12         # residuals below this are rounding noise and compare equal
 NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
-NNLS_REFINE_STEPS = 1          # iterative-refinement steps per passive-set solve
 NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
 # Largest level: directions (a plateau probe's 4x included) and samples.
 # solve_nnls holds two n x n arrays for n directions, and A is samples x n;
@@ -203,12 +203,15 @@ def solve_nnls(A, b) -> NnlsSolution:
     column to W (two matvecs), and a leaving column is swapped to the last
     row and eliminated by one Householder reflection of W's columns. Both
     updates cost O(k^2) for k passive columns, and no k x k block is copied
-    or refactorized. The unconstrained passive solution zeta = W W^T (A^T b)_P
-    is carried along: an entering column c of W adds c (c^T (A^T b)_P) to it
-    at O(k) cost, and after a column leaves the next solve recomputes it. Each
-    solve is followed by NNLS_REFINE_STEPS step of iterative refinement
-    against G_PP itself, accumulated into zeta, which brings the
-    normal-equation residual to the rounding floor. An entering column whose
+    or refactorized. Every passive solution is one step from the current
+    feasible x along the dual w = A^T b - G x at x: z = x_P + W W^T w_P.
+    When column j enters, w is the outer dual, already computed over all
+    columns to choose j, and w_P is at the rounding floor, so only the new
+    column c of W contributes: z = [x_P; 0] + c (c^T w_P), at O(k) cost.
+    After a column leaves, w is recomputed at the new feasible x (one Gram
+    product) and the full step taken. Because each step starts from the true
+    residual of the current x, the normal-equation residual stays at the
+    rounding floor without a separate refinement. An entering column whose
     Schur complement is not above NNLS_DEPENDENT_TOL of its squared norm lies
     numerically in the span of the passive columns; it is passed over and the
     next-largest dual enters instead.
@@ -246,9 +249,7 @@ def solve_nnls(A, b) -> NnlsSolution:
     slot = np.arange(n)                  # stored[slot[j]] == j
     basis = np.empty((n, n))             # W = basis[:k, :k], W W^T = inverse of G_PP
     order = np.empty(n, dtype=np.intp)   # order[:k] = P in factor order
-    zeta = np.empty(n)                   # zeta[:k] = W W^T (A^T b)_P, refined
     k = n_stored = 0
-    zeta_current = True
 
     def gram_col(j: int) -> np.ndarray:
         nonlocal n_stored
@@ -265,9 +266,9 @@ def solve_nnls(A, b) -> NnlsSolution:
             n_stored += 1
         return gram[:, slot[j]]
 
-    def gram_times(v: np.ndarray) -> np.ndarray:
-        """G v for v supported on stored columns."""
-        return gram[:, :n_stored] @ v[stored[:n_stored]]
+    def dual(x: np.ndarray) -> np.ndarray:
+        """A^T b - G x for x supported on stored columns."""
+        return atb - gram[:, :n_stored] @ x[stored[:n_stored]]
 
     def enter(j: int) -> bool:
         nonlocal k
@@ -284,13 +285,10 @@ def solve_nnls(A, b) -> NnlsSolution:
         basis[k, k] = 1.0 / rho
         order[k] = j
         k += 1
-        c = basis[:k, k - 1]
-        zeta[k - 1] = 0.0
-        zeta[:k] += c * (c @ atb[order[:k]])
         return True
 
     def leave(r: int) -> None:
-        nonlocal k, zeta_current
+        nonlocal k
         last = k - 1
         order[[r, last]] = order[[last, r]]
         basis[[r, last], :k] = basis[[last, r], :k]
@@ -302,22 +300,6 @@ def solve_nnls(A, b) -> NnlsSolution:
         w_k = basis[:last, :k]
         basis[:last, :last] -= np.multiply.outer(w_k @ v, v[:last] * (2.0 / (v @ v)))
         k = last
-        zeta_current = False
-
-    def solve_passive() -> np.ndarray:
-        nonlocal zeta_current
-        idx = order[:k]
-        w_k = basis[:k, :k]
-        rhs = atb[idx]
-        z = zeta[:k]
-        if not zeta_current:
-            z[:] = w_k @ (rhs @ w_k)
-            zeta_current = True
-        z_full = np.zeros(n)
-        for _ in range(NNLS_REFINE_STEPS):
-            z_full[idx] = z
-            z += w_k @ ((rhs - gram_times(z_full)[idx]) @ w_k)
-        return z.copy()
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -335,24 +317,24 @@ def solve_nnls(A, b) -> NnlsSolution:
         else:
             break
         passive[j] = True
+        first = k - 1                    # w_P is at the rounding floor: step along c alone
         while True:
             iterations += 1
             if iterations > max_iter:
                 converged = False
                 break
             idx = order[:k]
-            z = solve_passive()
+            xp = x[idx]
+            cols = basis[:k, first:k]    # the columns of W the step runs along
+            z = xp + cols @ (w[idx] @ cols)
             if np.all(z > 0.0):
-                x[:] = 0.0
                 x[idx] = z
                 break
-            xp = x[idx]
             neg = z <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(neg, xp / (xp - z), np.inf)
             alpha = float(np.min(ratios))
             xp = xp + alpha * (z - xp)
-            x[:] = 0.0
             x[idx] = xp
             drop = xp <= 1e-14 * max(1.0, float(np.max(np.abs(xp))))
             for r in np.flatnonzero(drop)[::-1]:
@@ -361,9 +343,11 @@ def solve_nnls(A, b) -> NnlsSolution:
             x[~passive] = 0.0
             if k == 0:
                 break
+            w = dual(x)
+            first = 0
         if not converged:
             break
-        w = atb - gram_times(x)
+        w = dual(x)
     resid = b - A @ x
     rel = float(np.linalg.norm(resid) / b_norm) if b_norm > 0.0 else 0.0
     return NnlsSolution(weights=x, relative_residual=rel,
@@ -391,8 +375,9 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     """Solve the moment problem across refinement levels and grade the outcome.
 
     FeasibleEvidence: final residual < 1e-3 and residuals decrease with
-    refinement. InfeasibleEvidence: residual > 1e-2 at every level and the
-    final residual moves by < 10% when directions are quadrupled at fixed
+    refinement, residuals below 1e-12 (rounding noise) comparing equal.
+    InfeasibleEvidence: residual > 1e-2 at every level and the final
+    residual moves by < 10% when directions are quadrupled at fixed
     samples. Anything else (including a solver that hit its iteration cap)
     is Inconclusive. Thresholds are calibration constants and are printed
     in the report.
@@ -431,8 +416,9 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     probe_row = None
     interpretation = INCONCLUSIVE
     if converged:
-        decreasing = bool(np.all(residuals[1:] <= residuals[:-1] * LEVEL_DECREASE_SLACK)
-                          and residuals[-1] <= residuals[0])
+        floored = np.maximum(residuals, RESIDUAL_FLOOR)
+        decreasing = bool(np.all(floored[1:] <= floored[:-1] * LEVEL_DECREASE_SLACK)
+                          and floored[-1] <= floored[0])
         if residuals[-1] < FEASIBLE_RESIDUAL and decreasing:
             interpretation = FEASIBLE
         elif np.all(residuals > PLATEAU_RESIDUAL):
@@ -486,6 +472,7 @@ def feasibility_report_text(result: FeasibilityResult) -> str:
         f"feasible_threshold: {g17(FEASIBLE_RESIDUAL)}",
         f"plateau_threshold: {g17(PLATEAU_RESIDUAL)}",
         f"plateau_rel_change: {g17(PLATEAU_REL_CHANGE)}",
+        f"residual_floor: {g17(RESIDUAL_FLOOR)}",
         f"best_measure_atoms: {result.best_measure.size}",
         f"best_measure_mass: {g17(result.best_measure.total_mass)}",
     ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levylab import criterion as cr
+from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import NormSpec, OrliczFunction, parse_spec
 
 # Criterion values at the default grid, frozen from the earlier six-batch grid
@@ -125,6 +126,23 @@ class TestReportInvariants:
         assert report.cond_i_max_d2 == 0.0
         assert report.decay_profile == tuple(
             (2.0 ** -k, v) for k, v in enumerate(expected["decay"]))
+
+    @pytest.mark.parametrize("theta_count", [8, cr.DEFAULT_THETA_COUNT])
+    def test_derivative_batches(self, monkeypatch, theta_count):
+        # 1 condition-I batch, 8 scan blocks, 4 zoom steps of one x1 and one
+        # theta batch of 33 rows each, 2 tail and 2 ladder blocks, none above
+        # the 16 * theta_count rows that MAX_THETA_COUNT is sized for
+        rows = []
+
+        def counted(fn, pts):
+            rows.append(len(pts))
+            return d1_d2_norm_batch(fn, pts)
+
+        monkeypatch.setattr(cr, "d1_d2_norm_batch", counted)
+        cr.second_derivative_test(NormSpec.lq(4, 3), theta_count=theta_count)
+        assert len(rows) == 21
+        assert rows.count(33) == 8
+        assert max(rows) <= 16 * theta_count
 
     def test_assumptions_recorded(self, reports):
         report = reports["lq:q=4:dim=3"]

@@ -11,7 +11,7 @@ from levylab.levy import (SphericalMeasure,
                           feasibility_report_text, feasibility_scan,
                           fibonacci_sphere, measure_csv, sample_norm_sphere,
                           solve_nnls, to_hemisphere, uniform_calibrated_measure)
-from levylab.norms import NormSpec
+from levylab.norms import NormSpec, g17, parse_spec
 
 L1 = NormSpec.lq(1, 3)
 L2 = NormSpec.lq(2, 3)
@@ -71,11 +71,27 @@ def check_column_removals(seed, rows):
     np.testing.assert_allclose(mine.weights[:3], [0.0, 0.0, 50.0 / 9.0], rtol=1e-14)
 
 
+def finest_level(spec, p):
+    """The seed-0 system of 1024 directions by 2048 samples, and its solution."""
+    xs = sample_norm_sphere(spec, 2048, np.random.default_rng(0))
+    A, b = assemble_moment_system(spec, p, xs, direction_grid(3, 1024))
+    return A, b, solve_nnls(A, b)
+
+
+def check_passive_solution_at_rounding_floor(A, b, sol):
+    """The passive solution solves the final normal equations, checked
+    against a Gram block formed here from A; returns (iterations, active)."""
+    passive = sol.weights > 0.0
+    A_p = A[:, passive]
+    rhs = A_p.T @ b
+    resid = (A_p.T @ A_p) @ sol.weights[passive] - rhs
+    assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(rhs)
+    return sol.iterations, int(np.count_nonzero(passive))
+
+
 @pytest.fixture(scope="module")
 def euclidean_level():
-    xs = sample_norm_sphere(EUC, 2048, np.random.default_rng(0))
-    A, b = assemble_moment_system(EUC, 1.0, xs, direction_grid(3, 1024))
-    return A, b, solve_nnls(A, b)
+    return finest_level(EUC, 1.0)
 
 
 class TestAssembly:
@@ -168,22 +184,27 @@ class TestNnls:
         assert np.count_nonzero(mine.weights) == np.count_nonzero(w_ref)
 
     def test_euclidean_level_passive_solution_at_rounding_floor(self, euclidean_level):
-        # the carried passive solution (updated as columns enter, recomputed
-        # after a column leaves) solves the final normal equations, checked
-        # against a Gram block formed here from A
-        A, b, sol = euclidean_level
-        passive = sol.weights > 0.0
-        A_p = A[:, passive]
-        rhs = A_p.T @ b
-        resid = (A_p.T @ A_p) @ sol.weights[passive] - rhs
-        assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(rhs)
-        assert (sol.iterations, int(np.count_nonzero(passive))) == (1048, 952)
+        # each passive solution is one step from the feasible x along its
+        # dual (the entering column's alone when a column enters, the full
+        # step after one leaves); the last one is at the rounding floor
+        assert check_passive_solution_at_rounding_floor(*euclidean_level) == (1048, 952)
+
+    @pytest.mark.parametrize("label, p, counts", [
+        ("lq:q=4:dim=3", 0.5, (370, 312)),
+        ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 1.0, (103, 55)),
+        ("lq:q=2.5:dim=3", 0.5, (990, 876)),
+    ])
+    def test_finest_level_counts_at_rounding_floor(self, label, p, counts):
+        # (iterations, active) frozen from the solver that refined a carried
+        # passive solution; the fresh-dual step reaches the same active sets
+        assert check_passive_solution_at_rounding_floor(
+            *finest_level(parse_spec(label), p)) == counts
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_carried_passive_solution_without_refinement(self, seed, monkeypatch):
-        # with refinement off, each passive solution is the carried one
-        # alone: updated when a column enters, recomputed after one leaves
-        monkeypatch.setattr(levy, "NNLS_REFINE_STEPS", 0)
+    def test_carried_passive_solution_without_refinement(self, seed):
+        # no solve is refined: each passive solution is the single step
+        # from the feasible x along the dual there, through columns that
+        # enter and columns that leave
         R, r_rhs = removal_block(seed, 200)
         mine = assert_matches_reference(R, r_rhs)
         assert mine.iterations > np.count_nonzero(mine.weights)     # columns left
@@ -356,6 +377,21 @@ class TestScan:
         assert feasibility_csv(a) == feasibility_csv(b)
         assert measure_csv(a.best_measure) == measure_csv(b.best_measure)
 
+    @pytest.mark.parametrize("label, p, grade", [
+        ("euclidean:dim=2", 2.0, levy.FEASIBLE),
+        ("euclidean:dim=3", 2.0, levy.FEASIBLE),
+        ("lq:q=2:dim=3", 2.0, levy.FEASIBLE),
+        ("lq:q=4:dim=3", 2.0, levy.INFEASIBLE),
+        ("euclidean:dim=3", 1.0, levy.FEASIBLE),
+    ])
+    def test_grade_with_residuals_at_rounding_floor(self, label, p, grade):
+        # the exact p = 2 representations end at residuals of a few 1e-16
+        # that may rise level to level; below RESIDUAL_FLOOR they compare equal
+        res = feasibility_scan(parse_spec(label), p)
+        assert res.interpretation == grade
+        if p == 2.0 and grade == levy.FEASIBLE:
+            assert all(lv.relative_residual < levy.RESIDUAL_FLOOR for lv in res.levels)
+
     def test_bad_level_lists_rejected(self):
         with pytest.raises(ValueError):
             feasibility_scan(L4, 1.0, levels=[])
@@ -388,6 +424,7 @@ class TestSerialization:
             res = feasibility_scan(L4, 1.0, levels=[(32, 128), (128, 256)], seed=7)
             texts.append(feasibility_report_text(res))
         assert texts[0] == texts[1]
+        assert f"residual_floor: {g17(levy.RESIDUAL_FLOOR)}" in texts[0].splitlines()
         rows = res.levels + [res.plateau_probe]
         lines = [ln for ln in texts[0].splitlines() if ln.startswith(("level ", "probe:"))]
         assert len(lines) == len(rows) == 3
