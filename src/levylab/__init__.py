@@ -15,13 +15,12 @@ Four independent routes to the same question:
 
 from .criterion import (CriterionReport, check_orlicz_flatness,
                         second_derivative_test)
-from .derivatives import fd_d1, fd_d2
 from .levy import (FeasibilityResult, SphericalMeasure, assemble_moment_system,
                    feasibility_scan, solve_nnls, uniform_calibrated_measure)
 from .mollifier import (ContradictionReport, DemoReport, contradiction_report,
                         demo_run, fourier_constant, lhs_integral, rhs_value)
 from .norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
-                    eval_norm, format_spec, norm_batch, parse_spec)
+                    format_spec, norm_batch, parse_spec)
 from .posdef import PsdWitness, kernel_matrix, min_eigenvalue, witness_search
 
 __version__ = "0.1.0"
@@ -30,9 +29,8 @@ __all__ = [
     "ContradictionReport", "CriterionReport", "DemoReport", "FeasibilityResult",
     "NormSpec", "OrliczFunction", "PsdWitness", "SpecError", "SpecParseError",
     "SphericalMeasure", "assemble_moment_system", "check_orlicz_flatness",
-    "contradiction_report", "demo_run", "eval_norm", "fd_d1", "fd_d2",
-    "feasibility_scan", "format_spec", "fourier_constant", "kernel_matrix",
-    "lhs_integral", "min_eigenvalue", "norm_batch", "parse_spec", "rhs_value",
-    "second_derivative_test", "solve_nnls", "uniform_calibrated_measure",
-    "witness_search",
+    "contradiction_report", "demo_run", "feasibility_scan", "format_spec",
+    "fourier_constant", "kernel_matrix", "lhs_integral", "min_eigenvalue",
+    "norm_batch", "parse_spec", "rhs_value", "second_derivative_test",
+    "solve_nnls", "uniform_calibrated_measure", "witness_search",
 ]

@@ -8,14 +8,13 @@ Spec grammar (exact):
 
     <terms> := <coef>*t^<exp> ( + <coef>*t^<exp> )*
 
-Subcommands: criterion, levy, posdef, demo, all, derive. Artifacts are
-written to --out as <command>_<spec-slug>_<p>.{csv,txt}; a manifest.txt
-lists every artifact with its sha256 and echoes the effective config.
-Every command writes its CSV and its structured text report (derive
-writes CSV only). CSV uses '.' decimals, 17 significant digits, and LF
-line endings, so a rerun with the same config is byte-identical. The
---out directory is created before any route runs. --timings prints each
-route's wall time to stderr and changes no artifact.
+Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
+--out as <command>_<spec-slug>_<p>.{csv,txt}; a manifest.txt lists every
+artifact with its sha256 and echoes the effective config. Every command
+writes its CSV and its structured text report. CSV uses '.' decimals, 17
+significant digits, and LF line endings, so a rerun with the same config
+is byte-identical. The --out directory is created before any route runs.
+--timings prints each route's wall time to stderr and changes no artifact.
 
 Flags: --spec --p --seed --theta-count --levels --trials --points --out
 --timings.
@@ -34,28 +33,17 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import criterion as crit
 from . import levy
 from . import mollifier as moll
 from . import posdef
-from .derivatives import DerivativeError, d1_d2_norm_batch, fd_d1, fd_d2
-from .norms import NormSpec, SpecError, g17, norm_batch, parse_spec
+from .derivatives import DerivativeError
+from .norms import NormSpec, SpecError, parse_spec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-DERIVE_PROBES = (
-    (0.5, 1.0, 0.25),
-    (1.0, 1.0, 1.0),
-    (0.0, 1.0, 1.0),
-    (2.0, 0.5, 0.5),
-    (0.001, 1.0, 0.0),
-    (-1.0, 0.3, 0.8),
-)
 
 
 @dataclass
@@ -66,7 +54,7 @@ class RunConfig:
     seed: int = 0
     theta_count: int = crit.DEFAULT_THETA_COUNT
     levels: str = ""
-    trials: int = 2000
+    trials: int = posdef.DEFAULT_TRIALS
     points: int = 20
     out: str = "."
     timings: bool = False      # stderr only: never echoed, never in an artifact
@@ -152,21 +140,6 @@ def _run_demo(config: RunConfig, spec: NormSpec, banner: list):
     return artifacts, report, EXIT_OK
 
 
-def _run_derive(config: RunConfig, spec: NormSpec, banner: list):
-    if spec.dim != 3:
-        raise SpecError("derive probes require dim = 3")
-    probes = np.array(DERIVE_PROBES)
-    d1, d2, _ = d1_d2_norm_batch(spec.as_power_orlicz(), probes)
-    rows = ["x1,x2,x3,norm,d1,d2,fd_d1,fd_d2"]
-    for x, nrm, a1, a2 in zip(DERIVE_PROBES, norm_batch(spec, probes), d1, d2):
-        rows.append(
-            ",".join(g17(c) for c in x)
-            + f",{g17(nrm)},{g17(a1)},{g17(a2)}"
-            + f",{g17(fd_d1(spec, x))},{g17(fd_d2(spec, x))}")
-    artifacts = {_artifact_name(config, "csv"): "\n".join(rows) + "\n"}
-    return artifacts, None, EXIT_OK
-
-
 def _run_route(config: RunConfig, spec: NormSpec, banner: list):
     """Run one command; with --timings a route's wall time goes to stderr
     (``all`` reports each of its routes instead of itself)."""
@@ -222,7 +195,6 @@ COMMANDS = {
     "posdef": (_run_posdef, 1.5),
     "demo": (_run_demo, 0.5),
     "all": (_run_all, 0.5),
-    "derive": (_run_derive, 1.0),
 }
 
 
@@ -287,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp, default_p: float):
         sp.add_argument("--spec", required=True, help="norm spec string (see module doc)")
         sp.add_argument("--p", type=float, default=default_p)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--theta-count", type=int, default=crit.DEFAULT_THETA_COUNT)
-        sp.add_argument("--levels", default="",
+        sp.add_argument("--seed", type=int, default=RunConfig.seed)
+        sp.add_argument("--theta-count", type=int, default=RunConfig.theta_count)
+        sp.add_argument("--levels", default=RunConfig.levels,
                         help="refinement levels 'dirs:samples,...' (empty = defaults)")
-        sp.add_argument("--trials", type=int, default=2000)
-        sp.add_argument("--points", type=int, default=20)
-        sp.add_argument("--out", default=".")
+        sp.add_argument("--trials", type=int, default=RunConfig.trials)
+        sp.add_argument("--points", type=int, default=RunConfig.points)
+        sp.add_argument("--out", default=RunConfig.out)
         sp.add_argument("--timings", action="store_true",
                         help="print each route's wall time to stderr (no artifact changes)")
 

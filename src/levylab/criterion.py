@@ -44,6 +44,10 @@ DECAY_LADDER = 26         # dyadic ladder x1 = 2^-k, k = 0..25
 DECAY_MIN_STEPS = 10      # required monotone steps below the ladder's peak
 TAIL_SHRINKS = 24
 
+# the grids of the scan, as report_text names them (a NotApplicable report ran none)
+X1_GRID = (f"logspace(1e-06, {X1_MAX:g}, {SCAN_X1_POINTS}) for the bound scan; "
+           f"2^-k, k = 0..{DECAY_LADDER - 1} for the decay ladder, "
+           "profile reported from its maximum")
 ASSUMPTIONS = (
     "second-derivative continuity is sampled on finite grids, not certified between nodes",
     "condition III is certified as numerical evidence by a finite dyadic decay profile",
@@ -61,8 +65,6 @@ class CriterionReport:
     k_hat_at_x1: float | None = None
     decay_profile: tuple[tuple[float, float], ...] = ()
     theta_count: int = 0
-    x1_grid: str = ""
-    assumptions: tuple[str, ...] = ASSUMPTIONS
     analytic_flatness: FlatnessResult | None = None    # Orlicz specs only
 
     @property
@@ -241,9 +243,6 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
         k_hat_at_x1=peak_x1,
         decay_profile=profile,
         theta_count=theta_count,
-        x1_grid=(f"logspace(1e-06, {X1_MAX:g}, {SCAN_X1_POINTS}) for the bound scan; "
-                 f"2^-k, k = 0..{DECAY_LADDER - 1} for the decay ladder, "
-                 "profile reported from its maximum"),
     )
 
 
@@ -258,7 +257,7 @@ def report_text(report: CriterionReport) -> str:
         f"K_hat: {g17(report.k_hat)}",
         f"K_hat_at_x1: {g17(report.k_hat_at_x1)}",
         f"theta_count: {report.theta_count}",
-        f"x1_grid: {report.x1_grid}",
+        f"x1_grid: {'' if report.verdict == NOT_APPLICABLE else X1_GRID}",
         f"tol_i: {g17(TOL_I)}",
         f"tol_iii: {g17(TOL_III)}",
         f"decay_steps: {len(report.decay_profile)}",
@@ -269,7 +268,7 @@ def report_text(report: CriterionReport) -> str:
         lines.append(f"analytic_flatness: {flat.eligible} ({flat.note}{detail})")
     if report.disagreement:
         lines.append(f"disagreement: {report.disagreement}")
-    lines += [f"assumption: {a}" for a in report.assumptions]
+    lines += [f"assumption: {a}" for a in ASSUMPTIONS]
     return "\n".join(lines) + "\n"
 
 

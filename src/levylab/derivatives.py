@@ -14,18 +14,13 @@ The norm is even in each coordinate, so general points reduce to the
 nonnegative orthant: d1 picks up the sign of x1 and d2 is even in x1.
 d1 is homogeneous of degree 0 and d2 of degree -1; inputs are prescaled by
 an exact power of two so the formulas stay in a well-conditioned range.
-
-``fd_d1`` / ``fd_d2`` are the independent central-difference oracles; they
-see only the norm itself, never the analytic formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .norms import NormSpec, OrliczFunction, eval_norm, norm_batch
-
-FD_STEP_FLOOR = 1e-5
+from .norms import NormSpec, OrliczFunction, norm_batch
 
 
 class DerivativeError(RuntimeError):
@@ -69,27 +64,3 @@ def d1_d2_norm_batch(fn: OrliczFunction, xs) -> tuple[np.ndarray, np.ndarray, np
            + ax[:, 2] ** 2 * d1 ** 2 * mpp[:, 2])
     d2 = num / (nrm ** 2 * denom_lin)
     return sign1 * d1, d2 / scale, nrm * scale
-
-
-def _default_step(spec: NormSpec, x) -> float:
-    return max(FD_STEP_FLOOR, FD_STEP_FLOOR * eval_norm(spec, x))
-
-
-def fd_d1(spec: NormSpec, x, h: float | None = None) -> float:
-    """Central difference (||x + h e1|| - ||x - h e1||) / 2h."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = _default_step(spec, x)
-    shifts = np.array([h] + [0.0] * (spec.dim - 1))
-    plus, minus = norm_batch(spec, np.stack([x + shifts, x - shifts]))
-    return float((plus - minus) / (2.0 * h))
-
-
-def fd_d2(spec: NormSpec, x, h: float | None = None) -> float:
-    """Central second difference (||x + h e1|| - 2||x|| + ||x - h e1||) / h^2."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = _default_step(spec, x)
-    shifts = np.array([h] + [0.0] * (spec.dim - 1))
-    plus, mid, minus = norm_batch(spec, np.stack([x + shifts, x, x - shifts]))
-    return float((plus - 2.0 * mid + minus) / (h * h))

@@ -108,13 +108,6 @@ class OrliczFunction:
         exps = np.array([e for _, e in self.terms])
         return coefs, exps
 
-    def value(self, t):
-        """M(t); accepts scalars or arrays of nonnegative arguments."""
-        t = np.asarray(t, dtype=float)
-        coefs, exps = self._arrays()
-        out = (coefs * t[..., None] ** exps).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
-
     def deriv(self, t):
         """M'(t) = sum a q t^{q-1}."""
         t = np.asarray(t, dtype=float)
@@ -207,14 +200,6 @@ class NormSpec:
 def _check_dim(dim) -> None:
     if int(dim) != dim or not (MIN_DIM <= int(dim) <= MAX_DIM):
         raise SpecError(f"dim must be an integer in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-
-
-def eval_norm(spec: NormSpec, x) -> float:
-    """Evaluate ||x|| under ``spec``. Zero only at x = 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"expected a vector of length {spec.dim}, got shape {x.shape}")
-    return float(norm_batch(spec, x[None, :])[0])
 
 
 def norm_batch(spec: NormSpec, xs) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .norms import NormSpec, check_p, g17, norm_batch
 
+DEFAULT_TRIALS = 2000          # random clouds drawn by the search
 SCALE_SWEEP = (0.25, 0.5, 1.0, 2.0, 4.0)
 REFINE_STEPS = 200
 REFINE_STEP_FRACTION = 0.1
@@ -99,7 +100,7 @@ def min_eigenvalue(gram) -> float:
 
 
 def witness_search(spec: NormSpec, p: float, n_points: int = 20,
-                   trials: int = 1000, seed: int = 0) -> PsdWitness:
+                   trials: int = DEFAULT_TRIALS, seed: int = 0) -> PsdWitness:
     """Search seeded Gaussian clouds (over the scale sweep) for the most
     negative kernel eigenvalue, then refine the best candidate by
     coordinate descent: perturb one point at a time, keep improvements.

@@ -7,9 +7,11 @@ the mollified pairing, the full 3D tensor quadrature of the same pairing (no
 reduction at all), the continuum (non-discretized) Fourier-side moment for
 the Euclidean norm, scipy's own special functions and NNLS, scipy's
 brentq on the Luxemburg equation of an Orlicz norm, the Orlicz Newton solve
-on a broadcast (rows, coordinates, terms) layout, and the witness search
-as a plain serial loop (full m x m distance matrices, one eigenproblem per
-scale, a full recompute per refinement step).
+on a broadcast (rows, coordinates, terms) layout, the witness search as a
+plain serial loop (full m x m distance matrices, one eigenproblem per
+scale, a full recompute per refinement step), central differences of the
+norm for its x1-partials (they see only ``norm_batch``, never the analytic
+formulas), and M(t) summed term by term from ``OrliczFunction.terms``.
 """
 
 import math
@@ -21,8 +23,9 @@ from scipy.special import gamma as _gamma
 
 from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import ORLICZ_MAX_ITER, norm_batch
-from levylab.posdef import (REFINE_STEP_FRACTION, REFINE_STEPS, SCALE_SWEEP,
-                            SEARCH_CHUNKS, PsdWitness, kernel_matrix, min_eigenvalue)
+from levylab.posdef import (DEFAULT_TRIALS, REFINE_STEP_FRACTION, REFINE_STEPS,
+                            SCALE_SWEEP, SEARCH_CHUNKS, PsdWitness, kernel_matrix,
+                            min_eigenvalue)
 from levylab.quadrature import PANEL_NODES, panel_nodes, panel_sums
 from levylab.quadrature import integrate as gk_integrate
 
@@ -175,6 +178,48 @@ def euclidean_pairing_limit(p: float) -> float:
     return prefactor * (p + 1.0) * 0.5 * moment
 
 
+def norm_at(spec, x) -> float:
+    """||x|| of the single vector x: one row of ``norm_batch``."""
+    return float(norm_batch(spec, np.asarray(x, dtype=float)[None, :])[0])
+
+
+FD_STEP_FLOOR = 1e-5
+
+
+def _fd_step(spec, x, h):
+    return max(FD_STEP_FLOOR, FD_STEP_FLOOR * norm_at(spec, x)) if h is None else h
+
+
+def fd_d1(spec, x, h: float | None = None) -> float:
+    """Central difference (||x + h e1|| - ||x - h e1||) / 2h; by default
+    h = 1e-5 max(1, ||x||)."""
+    x = np.asarray(x, dtype=float)
+    h = _fd_step(spec, x, h)
+    shift = np.zeros(spec.dim)
+    shift[0] = h
+    plus, minus = norm_batch(spec, np.stack([x + shift, x - shift]))
+    return float((plus - minus) / (2.0 * h))
+
+
+def fd_d2(spec, x, h: float | None = None) -> float:
+    """Central second difference (||x + h e1|| - 2||x|| + ||x - h e1||) / h^2,
+    with the step of ``fd_d1``."""
+    x = np.asarray(x, dtype=float)
+    h = _fd_step(spec, x, h)
+    shift = np.zeros(spec.dim)
+    shift[0] = h
+    plus, mid, minus = norm_batch(spec, np.stack([x + shift, x, x - shift]))
+    return float((plus - 2.0 * mid + minus) / (h * h))
+
+
+def orlicz_value(fn, t):
+    """M(t) = sum_i a_i t^{q_i} for nonnegative t (scalar or array), summed
+    term by term from ``fn.terms``."""
+    t = np.asarray(t, dtype=float)
+    out = sum(coef * t ** exp for coef, exp in fn.terms)
+    return float(out) if out.ndim == 0 else out
+
+
 def luxemburg_norm(terms, x) -> float:
     """The Orlicz norm of x for M(t) = sum a t^q (raw terms, normalized here
     to M(1) = 1): scipy's brentq on sum_k M(|x_k| / (m s)) = 1 over the
@@ -234,8 +279,8 @@ def _scaled_kernel_eig(dist, p: float, scale: float) -> float:
     return float(np.linalg.eigvalsh(np.exp(-(scale * dist) ** p))[0])
 
 
-def serial_witness_search(spec, p: float, n_points: int = 20, trials: int = 1000,
-                          seed: int = 0) -> PsdWitness:
+def serial_witness_search(spec, p: float, n_points: int = 20,
+                          trials: int = DEFAULT_TRIALS, seed: int = 0) -> PsdWitness:
     """``posdef.witness_search`` one cloud and one scale at a time: the same
     seeded streams, the first strict minimum in draw order, and the same
     refinement with every distance recomputed at each step."""

@@ -18,11 +18,11 @@ import math
 import numpy as np
 import pytest
 
-from _reference import Mollifier
+from _reference import Mollifier, fd_d1, fd_d2
 from levylab import criterion as cr
 from levylab import levy, mollifier, posdef
 from levylab.cli import main as cli_main
-from levylab.derivatives import d1_d2_norm_batch, fd_d1, fd_d2
+from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import NormSpec, OrliczFunction, parse_spec
 
 # -- regression baselines from the first verified run ------------------------

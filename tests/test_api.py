@@ -1,7 +1,33 @@
+import ast
+from pathlib import Path
+
 import levylab
+
+# No caller in src yet: ROADMAP item 3 wires the pairing contradiction into `all`.
+UNCALLED_ALLOWED = {"contradiction_report", "ContradictionReport"}
 
 
 def test_every_public_name_resolves():
     assert len(levylab.__all__) == len(set(levylab.__all__))
     missing = [name for name in levylab.__all__ if not hasattr(levylab, name)]
     assert missing == []
+
+
+def _referenced_names(node) -> list[str]:
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # one route per quantity: a public name that nothing in the package uses
+    # (re-exports in __init__ aside) is a second route or dead code
+    public = set(levylab.__all__)
+    used = set()
+    for path in Path(levylab.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            used.update(name for name in _referenced_names(node) if name != own)
+    assert sorted(public - used - UNCALLED_ALLOWED) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -32,12 +34,17 @@ class TestParsing:
 
     def test_command_table_drives_parser_and_dispatch(self, tmp_path):
         parser = cli.build_parser()
+        # every other flag takes its default from RunConfig
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)
+                    if f.name not in ("command", "spec", "p")}
         for name, (_, default_p) in cli.COMMANDS.items():
-            assert parser.parse_args([name, "--spec", "lq:q=4:dim=3"]).p == default_p
+            args = vars(parser.parse_args([name, "--spec", "lq:q=4:dim=3"]))
+            assert args == {**defaults, "command": name, "spec": "lq:q=4:dim=3",
+                            "p": default_p}
         assert cli.run(cli.RunConfig(command="bogus", spec="lq:q=4:dim=3",
                                      out=str(tmp_path))) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["criterion", "derive", "posdef"])
+    @pytest.mark.parametrize("command", ["criterion", "posdef"])
     def test_exponent_beyond_double_precision_exits_2(self, tmp_path, capsys, command):
         code = run_cli([command, "--spec", "orlicz:terms=1*t^2+1*t^1e300:dim=3",
                         "--out", str(tmp_path)])
@@ -50,6 +57,12 @@ class TestParsing:
             run_cli(["criterion", "--spec", "lq:q=4:dim=3", flag, value,
                      "--out", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
+
+    def test_removed_derive_command_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["derive", "--spec", "lq:q=4:dim=3", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, under):
@@ -226,30 +239,6 @@ class TestDemoCommand:
         assert code == EXIT_CONFIG
 
 
-# (d1, d2) of each derive probe for lq:q=4:dim=3, frozen from a run that
-# evaluated one probe per call
-L4_DERIVE_D1_D2 = [
-    (0.11911542419999835, 0.67280580262416678),
-    (0.43869133765083085, 0.87738267530166181),
-    (0.0, 0.0),
-    (0.99418039455939189, 0.01156023714603944),
-    (9.9999999999925002e-10, 2.9999999999947502e-06),
-    (-0.76968273608106152, 0.68031983958748565),
-]
-
-
-class TestDeriveCommand:
-    def test_probe_table(self, tmp_path):
-        code = run_cli(["derive", "--spec", "lq:q=4:dim=3", "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        rows = (tmp_path / "derive_lq-q-4-dim-3_1.csv").read_text().splitlines()
-        assert rows[0] == "x1,x2,x3,norm,d1,d2,fd_d1,fd_d2"
-        assert len(rows) == 1 + len(L4_DERIVE_D1_D2)
-        for row, frozen in zip(rows[1:], L4_DERIVE_D1_D2):
-            d1, d2 = (float(v) for v in row.split(",")[4:6])
-            assert (d1, d2) == pytest.approx(frozen, rel=1e-12, abs=0.0)
-
-
 class TestDeterminism:
     @staticmethod
     def assert_reruns_identical(tmp_path, argv):
@@ -348,7 +337,7 @@ class TestFuzz:
     @example(spec="orlicz:terms=1e308*t^3+1e308*t^5:dim=3")    # coefficient sum overflows
     @example(spec="orlicz:terms=1*t^1e308+1*t^1e308:dim=3")    # exponent above the cap
     def test_every_spec_ends_in_a_documented_exit_code(self, tmp_path, spec):
-        for command in ("criterion", "derive", "posdef"):
+        for command in ("criterion", "posdef"):
             config = cli.RunConfig(command=command, spec=spec, theta_count=8, trials=2,
                                    points=3, out=str(tmp_path))
             assert cli.run(config) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import fd_d1, fd_d2
 from levylab import criterion
-from levylab.cli import DERIVE_PROBES
-from levylab.derivatives import d1_d2_norm_batch, fd_d1, fd_d2
+from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import NormSpec, OrliczFunction
 
 T4 = OrliczFunction.from_terms([(1.0, 4.0)])
@@ -21,6 +21,26 @@ SMIX = NormSpec.orlicz_norm(MIX, 3)
 # act relative to max(|value|, floor) with the floor at the noise scale.
 D1_REL, D1_FLOOR = 1e-5, 0.01
 D2_REL, D2_FLOOR = 1e-3, 0.05
+
+# fixed probes: interior points, x1 = 0, a tiny x1, and a point with x1 < 0
+DERIVE_PROBES = (
+    (0.5, 1.0, 0.25),
+    (1.0, 1.0, 1.0),
+    (0.0, 1.0, 1.0),
+    (2.0, 0.5, 0.5),
+    (0.001, 1.0, 0.0),
+    (-1.0, 0.3, 0.8),
+)
+# (d1, d2) of each probe for lq:q=4:dim=3, frozen from a run that
+# evaluated one probe per call
+L4_DERIVE_D1_D2 = [
+    (0.11911542419999835, 0.67280580262416678),
+    (0.43869133765083085, 0.87738267530166181),
+    (0.0, 0.0),
+    (0.99418039455939189, 0.01156023714603944),
+    (9.9999999999925002e-10, 2.9999999999947502e-06),
+    (-0.76968273608106152, 0.68031983958748565),
+]
 
 
 def d1_d2(fn, x) -> tuple[float, float]:
@@ -132,7 +152,7 @@ class TestBatching:
         "fn", [T4, T2, MIX, OrliczFunction.from_terms([(0.3, 2.0), (0.7, 7.5)])],
         ids=["t^4", "t^2", "mix", "t^2+t^7.5"])
     def test_rows_equal_points_evaluated_alone(self, fn):
-        # the derive probes, random points, and rows x1 = 1 with shrinking
+        # the fixed probes, random points, and rows x1 = 1 with shrinking
         # sections (the criterion's tail rows after prescaling) all go
         # through one call
         rng = np.random.default_rng(31)
@@ -147,6 +167,14 @@ class TestBatching:
 
 
 class TestFiniteDifferenceOracle:
+    def test_probe_table(self):
+        d1, d2, _ = d1_d2_norm_batch(T4, DERIVE_PROBES)
+        for x, a1, a2, frozen in zip(DERIVE_PROBES, d1, d2, L4_DERIVE_D1_D2):
+            assert (a1, a2) == pytest.approx(frozen, rel=1e-12, abs=0.0)
+            f1, f2 = fd_d1(L4, x), fd_d2(L4, x)
+            assert abs(a1 - f1) <= D1_REL * max(abs(f1), D1_FLOOR)
+            assert abs(a2 - f2) <= D2_REL * max(abs(f2), D2_FLOOR)
+
     def test_euclidean_gradient(self):
         assert fd_d1(L2, (3.0, 4.0, 0.0)) == pytest.approx(0.6, abs=1e-8)
 
