@@ -13,7 +13,9 @@ Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
 artifact with its sha256 and echoes the effective config. Every command
 writes its CSV and its structured text report. CSV uses '.' decimals, 17
 significant digits, and LF line endings, so a rerun with the same config
-is byte-identical. The --out directory is created before any route runs.
+is byte-identical. The spec, --levels and --p (0 < p <= 2) are checked
+first, so a bad value exits 2 with nothing written; the --out directory is
+created before any route runs.
 --timings prints each route's wall time to stderr and changes no artifact.
 
 Flags: --spec --p --seed --theta-count --levels --trials --points --out
@@ -38,7 +40,7 @@ from . import levy
 from . import mollifier as moll
 from . import posdef
 from .derivatives import DerivativeError
-from .norms import NormSpec, SpecError, parse_spec
+from .norms import NormSpec, SpecError, check_p, parse_spec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -213,6 +215,11 @@ def run(config: RunConfig) -> int:
         parse_levels(config.levels)
     except SpecError as exc:
         print(f"invalid levels: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        check_p(config.p)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -188,7 +188,9 @@ def assemble_moment_system(spec: NormSpec, p: float, samples, directions):
     norms = norm_batch(spec, samples)
     if np.any(norms == 0.0):
         raise ValueError("samples must be nonzero")
-    A = np.abs(samples @ directions.T) ** p
+    A = samples @ directions.T
+    np.abs(A, out=A)
+    A **= p
     b = norms ** p
     return A, b
 

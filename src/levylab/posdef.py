@@ -14,9 +14,10 @@ being homogeneous). Each pair norm is evaluated once: ``pairwise_norms``
 takes the upper-triangle differences x_i - x_j (i < j) and mirrors them,
 which is exact because ||x_j - x_i|| = ||-(x_i - x_j)||. The search draws
 clouds in blocks of at most ``SEARCH_BLOCK_ROWS`` pair rows, so each block
-costs one ``norm_batch`` call and one stacked ``eigvalsh`` over every
-(cloud, scale) kernel; a refinement step moves one point and recomputes
-only that point's row of distances.
+costs one ``norm_batch`` call and, unless one stacked Cholesky test
+(``cannot_beat``) shows that none of its (cloud, scale) kernels can beat
+the running best, one stacked ``eigvalsh``; a refinement step moves one
+point and recomputes only that point's row of distances.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ WITNESS_EIG_FACTOR = -1e-8     # threshold: min_eig < factor * trace(G)/size
 SEARCH_CHUNKS = 16             # fixed seeded streams; changing it changes every witness
 SEARCH_BLOCK_ROWS = 1 << 14    # pair rows per search block; caps memory and n_points
 SYMMETRY_TOL = 1e-12
+# A Cholesky of K - t I that succeeds in floating point proves lambda_min(K) >=
+# t - n (n + 1) eps ||K - t I|| (Higham, "Accuracy and Stability of Numerical
+# Algorithms", ch. 10), and eigvalsh is accurate to O(n eps ||K||), where ||K|| <= n
+# (unit diagonal, entries in (0, 1]) and t <= 1. Both stay below 7e-10 at n = 181,
+# so a screened block holds no kernel whose computed eigenvalue is below the best.
+SCREEN_MARGIN = 1e-8
 
 
 @dataclass
@@ -51,6 +58,7 @@ class PsdWitness:
     spec_label: str = ""
     trials: int = 0
     eigenproblems: int = 0     # kernel eigenvalue problems the search solved
+    screened: int = 0          # search kernels the Cholesky screen cleared unsolved
 
     @property
     def found(self) -> bool:
@@ -99,6 +107,18 @@ def min_eigenvalue(gram) -> float:
     return float(np.linalg.eigvalsh(gram)[0])
 
 
+def cannot_beat(kernels: np.ndarray, best: float) -> bool:
+    """True when one stacked Cholesky factorization of every kernel minus
+    (best + SCREEN_MARGIN) I succeeds, which proves that no kernel in the
+    stack has a computed smallest eigenvalue below ``best``."""
+    shifted = kernels - (best + SCREEN_MARGIN) * np.eye(kernels.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def witness_search(spec: NormSpec, p: float, n_points: int = 20,
                    trials: int = DEFAULT_TRIALS, seed: int = 0) -> PsdWitness:
     """Search seeded Gaussian clouds (over the scale sweep) for the most
@@ -107,11 +127,12 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
 
     Each of the ``SEARCH_CHUNKS`` seeded streams draws its clouds in blocks
     of at most ``SEARCH_BLOCK_ROWS`` pair rows; a block evaluates each pair
-    norm once and solves all its (cloud, scale) kernels in one stacked
-    eigenproblem call. A cloud must fit in one block, which caps
-    ``n_points`` at 181. The first minimum in draw order wins,
-    so the block size does not change the result. A refinement step
-    recomputes only the moved point's row of the distance matrix.
+    norm once and, unless ``cannot_beat`` clears it against the running
+    best, solves all its (cloud, scale) kernels in one stacked eigenproblem
+    call. A cloud must fit in one block, which caps ``n_points`` at 181.
+    The first strict minimum in draw order wins, so neither the block size
+    nor the screen changes the result. A refinement step recomputes only
+    the moved point's row of the distance matrix.
 
     A nonnegative best eigenvalue is a valid outcome (no witness found).
     Identical inputs reproduce the identical witness.
@@ -133,12 +154,17 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     scales = np.array(SCALE_SWEEP)[:, None, None]
 
     best_lam, best_points, best_scale = np.inf, None, None
+    screened = 0
     for chunk_idx, size in enumerate(sizes):
         rng = np.random.default_rng([seed, chunk_idx])
         for start in range(0, size, block):
             clouds = rng.standard_normal((min(block, size - start), n_points, spec.dim))
             dist = pairwise_norms(spec, clouds)[:, None]
-            lams = np.linalg.eigvalsh(np.exp(-(scales * dist) ** p))[..., 0]
+            kernels = np.exp(-(scales * dist) ** p)
+            if best_points is not None and cannot_beat(kernels, best_lam):
+                screened += len(clouds) * len(SCALE_SWEEP)
+                continue
+            lams = np.linalg.eigvalsh(kernels)[..., 0]
             cloud, k = np.unravel_index(np.argmin(lams), lams.shape)
             if lams[cloud, k] < best_lam:
                 best_lam, best_scale = float(lams[cloud, k]), SCALE_SWEEP[k]
@@ -166,7 +192,8 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     lam = min_eigenvalue(kernel_matrix(spec, p, points))
     return PsdWitness(points=points, p=p, min_eigenvalue=lam, seed=seed,
                       spec_label=spec.label, trials=trials,
-                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS + 1)
+                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS + 1 - screened,
+                      screened=screened)
 
 
 def witness_csv(witness: PsdWitness) -> str:
@@ -188,6 +215,7 @@ def witness_report_text(witness: PsdWitness) -> str:
         f"seed: {witness.seed}",
         f"trials: {witness.trials}",
         f"eigenproblems: {witness.eigenproblems}",
+        f"screened: {witness.screened}",
         f"n_points: {len(witness.points)}",
         f"min_eigenvalue: {g17(witness.min_eigenvalue)}",
         f"witness_found: {witness.found}",

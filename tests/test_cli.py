@@ -51,6 +51,17 @@ class TestParsing:
         assert code == EXIT_CONFIG
         assert "exceeds 1e+15" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "-1", "nan", "inf", "2.5"])
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_p_outside_embedding_range_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                   command, p):
+        out = tmp_path / "out"
+        code = run_cli([command, "--spec", "lq:q=4:dim=3", "--p", p, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: p must lie in (0, 2]")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--format", "csv"), ("--x1-max", "64")])
     def test_removed_flags_exit_2(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:

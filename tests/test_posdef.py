@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from _reference import full_pairwise_norms, serial_witness_search
 from levylab import posdef
 from levylab.norms import NormSpec
-from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, kernel_matrix, min_eigenvalue,
-                            pairwise_norms, witness_csv, witness_report_text,
-                            witness_search)
+from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, cannot_beat, kernel_matrix,
+                            min_eigenvalue, pairwise_norms, witness_csv,
+                            witness_report_text, witness_search)
 
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
@@ -29,7 +29,9 @@ class _EigenCountingNumpy:
 
     def __init__(self):
         self.solved = 0
-        self.linalg = SimpleNamespace(eigvalsh=self._eigvalsh)
+        self.linalg = SimpleNamespace(eigvalsh=self._eigvalsh,
+                                      cholesky=np.linalg.cholesky,
+                                      LinAlgError=np.linalg.LinAlgError)
 
     def _eigvalsh(self, a, *args, **kwargs):
         self.solved += math.prod(np.shape(a)[:-2])
@@ -131,6 +133,18 @@ class TestMinEigenvalue:
             min_eigenvalue(M)
 
 
+class TestScreen:
+    @pytest.mark.parametrize("spec, p", [(L4, 1.5), (L2, 1.0), (ORLICZ_5, 1.3)])
+    def test_screen_clears_only_kernels_that_cannot_beat_the_best(self, spec, p):
+        rng = np.random.default_rng(10)
+        dist = pairwise_norms(spec, rng.standard_normal((30, 12, spec.dim)))[:, None]
+        kernels = np.exp(-(np.array(SCALE_SWEEP)[:, None, None] * dist) ** p)
+        lowest = float(np.linalg.eigvalsh(kernels)[..., 0].min())
+        assert not cannot_beat(kernels, lowest)     # a tie must be eigensolved
+        assert not cannot_beat(kernels, lowest - 0.5 * posdef.SCREEN_MARGIN)
+        assert cannot_beat(kernels, lowest - 1e-6)
+
+
 class TestWitnessSearch:
     def test_l4_dim3_regression(self):
         w = witness_search(L4, 1.5, n_points=20, trials=10000, seed=11)
@@ -176,6 +190,22 @@ class TestWitnessSearch:
         assert w.min_eigenvalue == ref.min_eigenvalue
         assert witness_csv(w) == witness_csv(ref)
 
+    @pytest.mark.parametrize("spec, p, n_points, trials, seed", [
+        (L4, 1.5, 10, 60, 1),
+        (NormSpec.euclidean(3), 1.0, 8, 60, 2),
+        (ORLICZ_5, 1.3, 7, 60, 6),
+    ])
+    def test_matches_serial_reference_bit_for_bit_one_cloud_per_block(
+            self, monkeypatch, spec, p, n_points, trials, seed):
+        # one cloud per block, so the screen decides cloud by cloud
+        monkeypatch.setattr(posdef, "SEARCH_BLOCK_ROWS", n_points * (n_points - 1) // 2)
+        w = witness_search(spec, p, n_points=n_points, trials=trials, seed=seed)
+        ref = serial_witness_search(spec, p, n_points=n_points, trials=trials, seed=seed)
+        assert w.screened > trials * len(SCALE_SWEEP) // 2
+        assert np.array_equal(w.points, ref.points)
+        assert w.min_eigenvalue == ref.min_eigenvalue
+        assert witness_csv(w) == witness_csv(ref)
+
     def test_block_size_does_not_change_the_witness(self, monkeypatch):
         runs = []
         for rows in (45, 10**9):       # one 10-point cloud per block, or all in one block
@@ -204,8 +234,11 @@ class TestWitnessSearch:
         counting = _EigenCountingNumpy()
         monkeypatch.setattr(posdef, "np", counting)
         w = witness_search(L4, 1.5, n_points=6, trials=7, seed=3)
-        assert w.eigenproblems == counting.solved == 7 * len(SCALE_SWEEP) + REFINE_STEPS + 1
-        assert f"\neigenproblems: {w.eigenproblems}\n" in witness_report_text(w)
+        assert w.eigenproblems == counting.solved
+        assert w.screened > 0
+        assert w.eigenproblems + w.screened == 7 * len(SCALE_SWEEP) + REFINE_STEPS + 1
+        text = witness_report_text(w)
+        assert f"\neigenproblems: {w.eigenproblems}\nscreened: {w.screened}\n" in text
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
