@@ -28,7 +28,11 @@ s >= 0 onto [0, pi/2) with weight cos(theta)^{p-1} and cancels the n in
 c0. The theta integral is adaptive Gauss-Kronrod seeded at
 theta = arctan(n 4^k), the feature scales of the integrand; the phi
 integral is the periodic trapezoid rule, doubled until the change between
-levels plus the inner error estimates falls below the tolerance.
+levels plus the inner error estimates falls below the tolerance. The
+theta integrals of one level (the 16 starting phi, then the odd phi of
+each doubling) run as one batched quadrature, so each level costs one
+derivative evaluation per refinement round. A non-finite total or error
+estimate raises QuadratureError at once.
 
 ``rhs_value`` evaluates the same pairing through the Fourier transform when
 the norm has a spherical representation ||x||^p = int |<x, xi>|^p dmu(xi):
@@ -54,7 +58,7 @@ import numpy as np
 from .derivatives import d1_d2_norm_batch
 from .levy import SphericalMeasure, uniform_calibrated_measure
 from .norms import NormSpec, g17
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError, integrate_batch
 
 PHI_START = 16
 PHI_MAX = 256
@@ -115,33 +119,38 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
     scale = 2.0 ** ((p + 1.0) / 2.0) * math.gamma((p + 1.0) / 2.0) / (2.0 * math.pi) ** 1.5
     theta_breaks = [math.atan(n * 4.0 ** k) for k in range(-10, 11)]
 
-    def theta_integral(phi: float) -> np.ndarray:
-        cphi, sphi = math.cos(phi), math.sin(phi)
+    def theta_integrals(phis: list[float]) -> np.ndarray:
+        """One row (term_first, term_second, error, panels) per phi."""
+        cphi = np.array([math.cos(phi) for phi in phis])
+        sphi = np.array([math.sin(phi) for phi in phis])
 
-        def integrand(theta: np.ndarray) -> np.ndarray:
-            pts = np.column_stack([np.tan(theta) / n, np.full_like(theta, cphi),
-                                   np.full_like(theta, sphi)])
+        def integrand(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            pts = np.column_stack([np.tan(theta) / n, cphi[owner], sphi[owner]])
             d1, d2, nrm = d1_d2_norm_batch(fn, pts)
             weight = scale * np.cos(theta) ** (p - 1.0)
             return np.column_stack([p * (p - 1.0) * nrm ** (p - 2.0) * d1 * d1 * weight,
                                     p * nrm ** (p - 1.0) * d2 * weight])
 
-        res = integrate(integrand, 0.0, 0.5 * math.pi, rel_tol=1e-7,
-                        breakpoints=theta_breaks)
-        return np.array([res.value[0], res.value[1], res.error, res.panels])
+        results = integrate_batch(integrand, len(phis), 0.0, 0.5 * math.pi, rel_tol=1e-7,
+                                  breakpoints=theta_breaks)
+        return np.array([[res.value[0], res.value[1], res.error, res.panels]
+                         for res in results])
 
     m = PHI_START
     # one row per phi = 2 pi k / m, in k order
-    vals = np.array([theta_integral(phi) for phi in (2.0 * math.pi * np.arange(m) / m).tolist()])
+    vals = theta_integrals((2.0 * math.pi * np.arange(m) / m).tolist())
     prev = None
     while True:
         total = vals[:, :3].mean(axis=0) * 2.0 * math.pi
+        if not np.isfinite(total).all():
+            raise QuadratureError(f"non-finite pairing estimate {total[0] + total[1]:.6e} "
+                                  f"(error {total[2]:.3e}) at phi_count = {m}")
         if prev is not None:
             phi_err = float(np.abs(total[:2] - prev[:2]).sum())
             value = float(total[0] + total[1])
             full_err = phi_err + float(total[2])
             if full_err <= LHS_REL_TOL * max(abs(value), 1e-300) or m >= PHI_MAX:
-                if full_err > LHS_REL_TOL * abs(value):
+                if not full_err <= LHS_REL_TOL * abs(value):
                     raise QuadratureError(
                         f"error estimate {full_err:.3e} exceeds {LHS_REL_TOL:g} * |{value:.6e}| "
                         f"at phi_count = {m}")
@@ -151,7 +160,7 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
                                  panels=int(vals[:, 3].sum()))
         prev = total
         m *= 2
-        odd = [theta_integral(2.0 * math.pi * k / m) for k in range(1, m, 2)]
+        odd = theta_integrals([2.0 * math.pi * k / m for k in range(1, m, 2)])
         vals = np.stack([vals, odd], axis=1).reshape(m, -1)   # interleaved, still in k order
 
 

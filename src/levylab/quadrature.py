@@ -6,6 +6,13 @@ numpy. The error estimate per panel is the difference between the embedded
 7-point Gauss and 15-point Kronrod rules, summed over components; it is a
 deliberate overestimate of the Kronrod error, which keeps the reported
 a-posteriori bound conservative.
+
+``integrate_batch`` advances many independent integrals in the same rounds:
+one integrand call serves the new panels of every integral still open, and
+each integral keeps its own panels, decisions and sums, so it comes out
+bit-identical to running it alone (``integrate`` is the one-integral view).
+The mollified pairing batches its theta-integrals across the phi of one
+refinement level this way.
 """
 
 from __future__ import annotations
@@ -97,57 +104,97 @@ def panel_sums(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     return kron, err
 
 
-def integrate(f, a: float, b: float, rel_tol: float = 1e-8,
-              breakpoints=None, max_panels: int = 4096) -> QuadResult:
-    """Adaptive integral of a vectorized (possibly vector-valued) integrand.
+def integrate_batch(f, count: int, a: float, b: float, rel_tol: float = 1e-8,
+                    breakpoints=None, max_panels: int = 4096) -> list[QuadResult]:
+    """``count`` independent adaptive integrals over [a, b], advanced together.
 
-    ``f(x)`` maps an (N,) array to (N,) or (N, k). ``breakpoints`` seeds the
-    initial subdivision (useful for endpoint singularities and known feature
-    scales); refinement bisects the worst quarter of panels per round, which
-    keeps evaluations batched.
+    ``f(x, owner)`` maps the flat abscissae of every panel being evaluated,
+    (N,), and the index of the integral each belongs to, (N,) ints, to (N,)
+    or (N, k) values. Each integral keeps its own panels and makes its own
+    decisions: it stops once its summed error estimate is within ``rel_tol``
+    times the summed |component totals|, or at ``max_panels`` panels, or
+    after MAX_ROUNDS refinements; otherwise the worst quarter of its panels
+    (ignoring those already at noise level) is bisected. Every round
+    evaluates the new panels of all integrals still open in one call of
+    ``f``. Each integral's sums run over its own panels in its own order, so
+    as long as ``f`` treats rows independently, every result is bit-identical
+    to running that integral alone. ``breakpoints`` seed the initial
+    subdivision (endpoint singularities, known feature scales).
     """
     if not b > a:
         raise ValueError(f"bad interval [{a}, {b}]")
     pts = [a, b] if breakpoints is None else sorted({a, b, *[
         float(t) for t in breakpoints if a < float(t) < b]})
-    lo = np.array(pts[:-1])
-    hi = np.array(pts[1:])
+    seed_lo = np.array(pts[:-1])
+    seed_hi = np.array(pts[1:])
 
-    def evaluate(lo_arr, hi_arr):
+    def evaluate(owners, counts, lo_arr, hi_arr):
+        """(kron, err) slices per owner, in ``owners`` order."""
         xs = panel_nodes(lo_arr, hi_arr)
-        vals = np.asarray(f(xs.ravel()), dtype=float)
+        vals = np.asarray(f(xs.ravel(), np.repeat(owners, np.multiply(counts, PANEL_NODES))),
+                          dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         vals = vals.reshape(len(lo_arr), PANEL_NODES, -1)
-        return panel_sums(vals, lo_arr, hi_arr)
+        kron, err = panel_sums(vals, lo_arr, hi_arr)
+        ends = np.cumsum(counts).tolist()
+        return [(kron[e - c:e], err[e - c:e]) for c, e in zip(counts, ends)]
 
-    kron, err = evaluate(lo, hi)
+    lo = [seed_lo] * count
+    hi = [seed_hi] * count
+    seeded = evaluate(range(count), [len(seed_lo)] * count,
+                      np.tile(seed_lo, count), np.tile(seed_hi, count))
+    kron = [k for k, _ in seeded]
+    err = [e for _, e in seeded]
+    active = list(range(count))
     for _ in range(MAX_ROUNDS):
-        total = kron.sum(axis=0)
-        target = rel_tol * float(np.abs(total).sum())
-        total_err = float(err.sum())
-        if total_err <= target or len(lo) >= max_panels:
+        refined, new_lo, new_hi = [], [], []
+        for i in active:
+            total = kron[i].sum(axis=0)
+            target = rel_tol * float(np.abs(total).sum())
+            total_err = float(err[i].sum())
+            if total_err <= target or len(lo[i]) >= max_panels:
+                continue
+            n_split = max(1, len(lo[i]) // 4)
+            order = np.argsort(-err[i], kind="stable")
+            split = np.zeros(len(lo[i]), dtype=bool)
+            split[order[:n_split]] = True
+            # leave panels already at noise level alone
+            split &= err[i] > 1e-3 * target / max(1, len(lo[i]))
+            if not np.any(split):
+                continue
+            mid = 0.5 * (lo[i][split] + hi[i][split])
+            new_lo.append(np.concatenate([lo[i][split], mid]))
+            new_hi.append(np.concatenate([mid, hi[i][split]]))
+            lo[i] = np.concatenate([lo[i][~split], new_lo[-1]])
+            hi[i] = np.concatenate([hi[i][~split], new_hi[-1]])
+            kron[i], err[i] = kron[i][~split], err[i][~split]
+            refined.append(i)
+        if not refined:
             break
-        n_split = max(1, len(lo) // 4)
-        order = np.argsort(-err, kind="stable")
-        split = np.zeros(len(lo), dtype=bool)
-        split[order[:n_split]] = True
-        # leave panels already at noise level alone
-        split &= err > 1e-3 * target / max(1, len(lo))
-        if not np.any(split):
-            break
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_kron, keep_err = kron[~split], err[~split]
-        add_kron, add_err = evaluate(np.concatenate([lo[split], mid]),
-                                     np.concatenate([mid, hi[split]]))
-        lo, hi = new_lo, new_hi
-        kron = np.concatenate([keep_kron, add_kron])
-        err = np.concatenate([keep_err, add_err])
+        added = evaluate(refined, [len(x) for x in new_lo],
+                         np.concatenate(new_lo), np.concatenate(new_hi))
+        for i, (add_kron, add_err) in zip(refined, added):
+            kron[i] = np.concatenate([kron[i], add_kron])
+            err[i] = np.concatenate([err[i], add_err])
+        active = refined
 
-    total = kron.sum(axis=0)
-    total_err = float(err.sum())
-    target = rel_tol * float(np.abs(total).sum())
-    return QuadResult(value=total, error=total_err, panels=len(lo),
-                      converged=total_err <= target)
+    results = []
+    for i in range(count):
+        total = kron[i].sum(axis=0)
+        total_err = float(err[i].sum())
+        target = rel_tol * float(np.abs(total).sum())
+        results.append(QuadResult(value=total, error=total_err, panels=len(lo[i]),
+                                  converged=total_err <= target))
+    return results
+
+
+def integrate(f, a: float, b: float, rel_tol: float = 1e-8,
+              breakpoints=None, max_panels: int = 4096) -> QuadResult:
+    """Adaptive integral of a vectorized (possibly vector-valued) integrand.
+
+    ``f(x)`` maps an (N,) array to (N,) or (N, k); the one-integral view of
+    ``integrate_batch``.
+    """
+    return integrate_batch(lambda x, _owner: f(x), 1, a, b, rel_tol=rel_tol,
+                           breakpoints=breakpoints, max_panels=max_panels)[0]

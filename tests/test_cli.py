@@ -8,6 +8,7 @@ from levylab import cli, levy
 from levylab import criterion as crit
 from levylab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_levels, spec_slug)
+from test_mollifier import nan_d2_at_phi_zero
 
 
 def run_cli(argv):
@@ -310,6 +311,14 @@ class TestConflictDetection:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "CONFLICT" in manifest
 
+
+    def test_non_finite_pairing_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.moll, "d1_d2_norm_batch",
+                            nan_d2_at_phi_zero(cli.moll.d1_d2_norm_batch))
+        code = run_cli(["demo", "--spec", "lq:q=4:dim=3", "--p", "0.5",
+                        "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: non-finite")
 
     def test_all_raises_route_disagreement_to_conflict(self, tmp_path, capsys):
         spec = "orlicz:terms=1*t^2.0000001:dim=3"

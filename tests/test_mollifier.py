@@ -9,7 +9,8 @@ from levylab import mollifier
 from levylab.levy import SphericalMeasure, uniform_calibrated_measure
 from levylab.mollifier import (DemoReport, demo_csv, fourier_constant, lhs_integral,
                                rhs_value)
-from levylab.norms import NormSpec
+from levylab.norms import NormSpec, parse_spec
+from levylab.quadrature import QuadratureError
 
 EUC = NormSpec.euclidean(3)
 L4 = NormSpec.lq(4, 3)
@@ -19,6 +20,41 @@ L4 = NormSpec.lq(4, 3)
 C_HALF = -1.2533141373155003
 ATOM_E1_VALUE = 1.1627366340382375   # single atom at e1, p = 0.5, n = 2
 ATOM_E1_LOWER = 0.41108947933122936
+
+# (value, error, term_first, term_second, phi_count, panels) at p = 0.5,
+# frozen from one adaptive theta-quadrature per phi; batching the phi of a
+# level must not move a single bit
+LHS_BASELINE = {
+    ("lq:q=4:dim=3", 2): (0.25833405599712916, 4.875012134936995e-08, -0.06270281611168649,
+                          0.32103687210881565, 64, 1536),
+    ("lq:q=4:dim=3", 32): (0.1217115247538224, 4.759354828727845e-08, -0.017707369474946288,
+                           0.13941889422876869, 64, 1760),
+    ("lq:q=4:dim=3", 1024): (0.021922347939678448, 8.838593913942268e-09,
+                             -0.003132145592598649, 0.025054493532277098, 64, 1968),
+    ("euclidean:dim=3", 2): (0.3517691371751348, 2.5685001512044264e-11,
+                             -0.06758062473859196, 0.41934976191372675, 32, 704),
+    ("euclidean:dim=3", 32): (0.8611696200277927, 3.440077166297142e-08,
+                              -0.023943351223440514, 0.8851129712512332, 32, 704),
+    ("euclidean:dim=3", 1024): (1.039362126577685, 2.2058126278915544e-08,
+                                -0.00428185167204489, 1.0436439782497298, 32, 704),
+    ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 2): (
+        0.26173663307229755, 5.462732742506596e-07, -0.06255540982403338,
+        0.3242920428963309, 64, 1536),
+    ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 32): (
+        0.14458334368881245, 1.1360098773863449e-07, -0.017718792816154374,
+        0.16230213650496683, 64, 1776),
+    ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 1024): (
+        0.02909020279724057, 1.4899670747395999e-08, -0.0031343105604923114,
+        0.03222451335773288, 64, 2028),
+}
+
+
+def nan_d2_at_phi_zero(real):
+    """``d1_d2_norm_batch`` with d2 replaced by NaN on the phi = 0 rows."""
+    def patched(fn, pts):
+        d1, d2, nrm = real(fn, pts)
+        return d1, np.where((pts[:, 1] == 1.0) & (pts[:, 2] == 0.0), np.nan, d2), nrm
+    return patched
 
 
 class TestFourierConstant:
@@ -173,6 +209,18 @@ class TestLhsIntegral:
         assert values[-1] < 0.05 * base
         slope = np.polyfit(np.log(ns), np.log(values), 1)[0]
         assert abs(slope + 0.5) <= 0.05
+
+    @pytest.mark.parametrize("spec, n", list(LHS_BASELINE))
+    def test_matches_frozen_baseline_bit_for_bit(self, spec, n):
+        res = lhs_integral(parse_spec(spec), 0.5, n)
+        assert (res.value, res.error, res.term_first, res.term_second,
+                res.phi_count, res.panels) == LHS_BASELINE[(spec, n)]
+
+    def test_non_finite_integrand_raises_at_the_first_level(self, monkeypatch):
+        monkeypatch.setattr(mollifier, "d1_d2_norm_batch",
+                            nan_d2_at_phi_zero(mollifier.d1_d2_norm_batch))
+        with pytest.raises(QuadratureError, match="non-finite .* phi_count = 16"):
+            lhs_integral(L4, 0.5, 4)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
