@@ -4,9 +4,10 @@ An Orlicz norm here is the Luxemburg-type functional: the unique s > 0 with
 sum_k M(|x_k| / s) = 1, where M is a convex power combination
 M(t) = sum_i a_i t^{q_i} with a_i >= 0 and 1 <= q_i <= MAX_EXPONENT,
 normalized so M(1) = 1 (which makes the standard basis vectors have unit
-norm). ``norm_batch`` finds s by monotone Newton steps started at
-s = max_k |x_k|; a single-term M(t) = t^q takes the l_q closed form
-instead. Restricting M to power combinations keeps M' and M'' exact
+norm). ``norm_batch`` sums each term's powers of |x_k| / max_k |x_k| once
+and finds tau = log(s / max_k |x_k|) by monotone Newton steps on the log of
+that sum of exponentials; a single-term M(t) = t^q takes the l_q closed
+form instead. Restricting M to power combinations keeps M' and M'' exact
 analytic expressions, which the derivative formulas downstream require.
 
 Spec strings use the grammar (also documented in the cli module):
@@ -27,8 +28,9 @@ MIN_DIM = 2
 MAX_DIM = 8
 ORLICZ_MAX_ITER = 200       # cap on the Newton steps of one row
 # Largest Orlicz exponent: one ulp of u moves u^q by a factor of at most
-# e^(q eps) ~ e^0.22, so double-precision powers (and the Newton solve)
-# stay accurate; M' and M'' stay finite on [0, 1].
+# e^(q eps) ~ e^0.22, so the powers in M'(u) and M''(u) of the derivative
+# formulas stay accurate, and M' and M'' stay finite on [0, 1]. (The Newton
+# solve of the norm needs no such bound.)
 MAX_EXPONENT = 1e15
 
 
@@ -207,7 +209,7 @@ def norm_batch(spec: NormSpec, xs) -> np.ndarray:
 
     l_q norms and single-term Orlicz functions (M(t) = t^q after the
     M(1) = 1 normalization) take the closed form; other Orlicz norms are
-    solved by monotone Newton steps (``_luxemburg_batch``).
+    solved by monotone Newton steps in log s (``_luxemburg_batch``).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != spec.dim:
@@ -233,46 +235,57 @@ def norm_batch(spec: NormSpec, xs) -> np.ndarray:
 
 
 def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
-    """Solve sum_k M(|x_k| / s) = 1 row-wise by monotone Newton steps.
+    """Solve sum_k M(|x_k| / s) = 1 row-wise by monotone Newton steps in
+    tau = log(s / m), m = max_k |x_k|.
 
-    f(s) = sum_k M(|x_k| / s) - 1 is convex and decreasing in s, and
-    f(max_k |x_k|) >= M(1) - 1 = 0, so Newton's method started at
-    s = max_k |x_k| rises to the root without overshooting. With u = |x| / s
-    the step is s <- s + f(s) s / sum_k u_k M'(u_k). A row stops at its
-    first step that does not increase s: the step is then below half an ulp
-    of s, and since exponents are at most MAX_EXPONENT the slope changes by
-    at most a factor e^0.22 across one ulp, so the root lies within about
-    an ulp. Each row iterates alone, so its value does not depend on the
-    rest of the batch.
+    With y_k = |x_k| / m in [0, 1] and c_i = a_i sum_k y_k^{q_i}, the left
+    side is F(tau) = sum_i c_i e^{-q_i tau}, so each row raises its
+    coordinates to each exponent once. g = ln F is convex (a log-sum-exp of
+    linear functions) and decreasing, so Newton's method on g started where
+    g >= 0 rises to the root without overshooting; the step is
+    tau <- tau + ln(F) F / D with D = sum_i q_i c_i e^{-q_i tau}. The start
+    tau = max(0, max_i ln(c_i) / q_i) is such a point: F(tau) >= c_i e^{-q_i tau}
+    for each i, and g(0) = ln sum_i c_i >= 0 because each power sum is at
+    least 1 and M(1) = 1. A row stops at its first step that does not
+    increase tau, once the step is below half an ulp of tau; since
+    |g'| = D / F >= 1, a rounding error in ln F moves tau by no more than
+    its own size. A rounding of y_k acts like an ulp's change to x_k, so no
+    exponent bound is needed here. Each row iterates alone, so its value
+    does not depend on the rest of the batch; zero rows are exact zeros.
 
-    The solve runs on |x| transposed once into contiguous (dim, m)
-    coordinate columns. A step forms u for the active rows, takes each
-    term's power u^{q_i} once (one contiguous array, scalar exponent),
-    accumulates M(u) and u M'(u) = sum_i a_i q_i u^{q_i} term by term in
-    exponent order, and adds the coordinate rows left to right, so no
-    reduction runs over the short term or coordinate axes.
+    The power sums add the coordinate rows of the contiguous (dim, rows)
+    array left to right, term by term in exponent order, and the steps run
+    on tau and the c_i compacted to the still-rising rows.
     """
     out = np.zeros(len(ax))
     cols = np.ascontiguousarray(ax.T)
-    active = np.flatnonzero(ax.max(axis=1) > 0.0)
-    out[active] = ax[active].max(axis=1)
+    peak = cols.max(axis=0)
+    rows = np.flatnonzero(peak > 0.0)
+    if len(rows) < len(ax):
+        cols, peak = cols[:, rows], peak[rows]
+    ys = cols / peak
+    terms = [(coef, exp) for coef, exp in fn.terms if coef > 0.0]    # ln(0) warns
+    exps = np.array([exp for _, exp in terms])[:, None]
+    c = np.array([coef * sum(ys ** exp) for coef, exp in terms])
+    tau = np.maximum((np.log(c) / exps).max(axis=0), 0.0)
+    final = np.empty_like(tau)
+    active = np.arange(len(tau))
     for _ in range(ORLICZ_MAX_ITER):
         if len(active) == 0:
             break
-        s = out[active]
-        u = cols[:, active] / s
-        m_u = np.zeros_like(u)          # M(u_k)
-        du = np.zeros_like(u)           # u_k M'(u_k)
-        for coef, exp in fn.terms:
-            power = u ** exp
-            m_u += coef * power
-            du += (coef * exp) * power
-        f = sum(m_u) - 1.0              # the rows of a (dim, m) array, left to right
-        slope = sum(du)
-        s_new = s + f * s / slope
-        rising = s_new > s
-        active = active[rising]
-        out[active] = s_new[rising]
+        parts = c * np.exp(-exps * tau)     # c_i e^{-q_i tau}, one row per term
+        f = sum(parts)
+        slope = sum(exps * parts)
+        tau_new = tau + np.log(f) * f / slope
+        rising = tau_new > tau
+        if rising.all():
+            tau = tau_new
+            continue
+        final[active.compress(~rising)] = tau.compress(~rising)
+        tau, c, active = (tau_new.compress(rising), c.compress(rising, axis=1),
+                          active.compress(rising))
+    final[active] = tau
+    out[rows] = peak * np.exp(final)
     return out
 
 

@@ -14,10 +14,11 @@ being homogeneous). Each pair norm is evaluated once: ``pairwise_norms``
 takes the upper-triangle differences x_i - x_j (i < j) and mirrors them,
 which is exact because ||x_j - x_i|| = ||-(x_i - x_j)||. The search draws
 clouds in blocks of at most ``SEARCH_BLOCK_ROWS`` pair rows, so each block
-costs one ``norm_batch`` call and, unless one stacked Cholesky test
-(``cannot_beat``) shows that none of its (cloud, scale) kernels can beat
-the running best, one stacked ``eigvalsh``; a refinement step moves one
-point and recomputes only that point's row of distances.
+costs one ``norm_batch`` call and one stacked ``eigvalsh`` over the
+(cloud, scale) kernels that stacked Cholesky tests (``cannot_beat``, applied
+by bisection in ``unscreened``) cannot clear against the running best; a
+refinement step moves one point and recomputes only that point's row of
+distances.
 """
 
 from __future__ import annotations
@@ -119,6 +120,20 @@ def cannot_beat(kernels: np.ndarray, best: float) -> bool:
     return True
 
 
+def unscreened(kernels: np.ndarray, best: float) -> list[int]:
+    """Indices, in stack order, of the kernels in a (count, n, n) stack that
+    ``cannot_beat`` does not clear against ``best`` on their own: the stack
+    is screened whole, and a stack that fails is halved and each half
+    screened again, down to single kernels."""
+    if cannot_beat(kernels, best):
+        return []
+    if len(kernels) == 1:
+        return [0]
+    half = len(kernels) // 2
+    return unscreened(kernels[:half], best) + [
+        half + i for i in unscreened(kernels[half:], best)]
+
+
 def witness_search(spec: NormSpec, p: float, n_points: int = 20,
                    trials: int = DEFAULT_TRIALS, seed: int = 0) -> PsdWitness:
     """Search seeded Gaussian clouds (over the scale sweep) for the most
@@ -127,11 +142,12 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
 
     Each of the ``SEARCH_CHUNKS`` seeded streams draws its clouds in blocks
     of at most ``SEARCH_BLOCK_ROWS`` pair rows; a block evaluates each pair
-    norm once and, unless ``cannot_beat`` clears it against the running
-    best, solves all its (cloud, scale) kernels in one stacked eigenproblem
-    call. A cloud must fit in one block, which caps ``n_points`` at 181.
-    The first strict minimum in draw order wins, so neither the block size
-    nor the screen changes the result. A refinement step recomputes only
+    norm once and solves, in one stacked eigenproblem call, the (cloud,
+    scale) kernels that ``unscreened`` cannot clear against the running
+    best (every kernel of the first block). A cleared kernel counts as +inf.
+    A cloud must fit in one block, which caps ``n_points`` at 181. The
+    first strict minimum in draw order wins, so neither the block size nor
+    the screen changes the result. A refinement step recomputes only
     the moved point's row of the distance matrix.
 
     A nonnegative best eigenvalue is a valid outcome (no witness found).
@@ -160,14 +176,16 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
         for start in range(0, size, block):
             clouds = rng.standard_normal((min(block, size - start), n_points, spec.dim))
             dist = pairwise_norms(spec, clouds)[:, None]
-            kernels = np.exp(-(scales * dist) ** p)
-            if best_points is not None and cannot_beat(kernels, best_lam):
-                screened += len(clouds) * len(SCALE_SWEEP)
-                continue
-            lams = np.linalg.eigvalsh(kernels)[..., 0]
-            cloud, k = np.unravel_index(np.argmin(lams), lams.shape)
-            if lams[cloud, k] < best_lam:
-                best_lam, best_scale = float(lams[cloud, k]), SCALE_SWEEP[k]
+            kernels = np.exp(-(scales * dist) ** p).reshape(-1, n_points, n_points)
+            solve = (np.arange(len(kernels)) if best_points is None
+                     else unscreened(kernels, best_lam))
+            screened += len(kernels) - len(solve)
+            lams = np.full(len(kernels), np.inf)
+            lams[solve] = np.linalg.eigvalsh(kernels[solve])[:, 0]
+            lowest = int(np.argmin(lams))
+            if lams[lowest] < best_lam:
+                cloud, k = divmod(lowest, len(SCALE_SWEEP))
+                best_lam, best_scale = float(lams[lowest]), SCALE_SWEEP[k]
                 best_points = clouds[cloud] * best_scale
 
     # coordinate-descent refinement on the winning (already scaled) cloud

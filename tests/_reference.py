@@ -246,25 +246,31 @@ def luxemburg_norm(terms, x) -> float:
 
 
 def broadcast_luxemburg(fn, ax) -> np.ndarray:
-    """The Newton solve of ``norms._luxemburg_batch`` written as one
-    broadcast (m, dim, terms) power array per step, reduced over the term
-    and coordinate axes: the same start, step and stopping rule on a
-    different array layout. ``ax`` holds |x| row-wise."""
+    """The Newton solve of ``norms._luxemburg_batch`` written on a broadcast
+    (rows, coordinates, terms) power array, reduced over the coordinate
+    axis, with (rows, terms) steps reduced over the term axis: the same
+    power sums c_i, start, step in tau = log(s / max|x_k|) and stopping rule
+    on a different array layout. ``ax`` holds |x| row-wise."""
     out = np.zeros(len(ax))
     coefs, exps = fn._arrays()
-    active = np.flatnonzero(ax.max(axis=1) > 0.0)
-    out[active] = ax[active].max(axis=1)
+    coefs, exps = coefs[coefs > 0.0], exps[coefs > 0.0]
+    peak = ax.max(axis=1)
+    rows = np.flatnonzero(peak > 0.0)
+    ys = ax[rows] / peak[rows, None]
+    c = coefs * (ys[..., None] ** exps).sum(axis=1)
+    tau = np.maximum((np.log(c) / exps).max(axis=1), 0.0)
+    active = np.arange(len(rows))
     for _ in range(ORLICZ_MAX_ITER):
         if len(active) == 0:
             break
-        s = out[active]
-        powers = (ax[active] / s[:, None])[..., None] ** exps
-        f = (coefs * powers).sum(axis=-1).sum(axis=1) - 1.0
-        slope = (coefs * exps * powers).sum(axis=-1).sum(axis=1)   # sum_k u_k M'(u_k)
-        s_new = s + f * s / slope
-        rising = s_new > s
+        parts = c[active] * np.exp(-exps * tau[active, None])
+        f = parts.sum(axis=1)
+        slope = (exps * parts).sum(axis=1)      # -dF/dtau
+        tau_new = tau[active] + np.log(f) * f / slope
+        rising = tau_new > tau[active]
         active = active[rising]
-        out[active] = s_new[rising]
+        tau[active] = tau_new[rising]
+    out[rows] = peak[rows] * np.exp(tau)
     return out
 
 

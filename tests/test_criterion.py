@@ -8,7 +8,9 @@ from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import NormSpec, OrliczFunction, parse_spec
 
 # Criterion values at the default grid, frozen from the earlier six-batch grid
-# test; decay[k] is sup_theta d2 at x1 = 2^-k, the profile starting at x1 = 1.
+# test (the Orlicz values from the Newton solve in log s of
+# norms._luxemburg_batch); decay[k] is sup_theta d2 at x1 = 2^-k, the profile
+# starting at x1 = 1.
 PINNED = {
     "lq:q=4:dim=3": {
         "k_hat": 1.0529971310778756,
@@ -26,15 +28,15 @@ PINNED = {
         ],
     },
     "orlicz:terms=0.5*t^3+0.5*t^5:dim=3": {
-        "k_hat": 1.0571372715618577,
+        "k_hat": 1.0571372715618574,
         "k_hat_at_x1": 0.8235612182716407,
         "decay": [
             0.9186932859682149, 0.650595462584303, 0.2352900002299088,
             0.1030865165528367, 0.049658778900754035, 0.024591672428497365,
-            0.01226601408271034, 0.006129272973407731, 0.003064169340850141,
-            0.0015320262530844743, 0.0007660058228694369, 0.00038300199838156666,
+            0.01226601408271034, 0.00612927297340773, 0.003064169340850141,
+            0.0015320262530844743, 0.0007660058228694371, 0.00038300199838156666,
             0.00019150088505326138, 9.575042825907313e-05, 4.78752123460689e-05,
-            2.3937605950099557e-05, 1.1968802947182826e-05, 5.984401470108039e-06,
+            2.3937605950099557e-05, 1.1968802947182826e-05, 5.984401470108041e-06,
             2.9922007346185973e-06, 1.4961003672548709e-06, 7.48050183620632e-07,
             3.7402509180946556e-07, 1.8701254590462648e-07, 9.350627295229995e-08,
             4.6753136476148314e-08, 2.337656823807395e-08,

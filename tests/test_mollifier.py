@@ -22,7 +22,8 @@ ATOM_E1_VALUE = 1.1627366340382375   # single atom at e1, p = 0.5, n = 2
 ATOM_E1_LOWER = 0.41108947933122936
 
 # (value, error, term_first, term_second, phi_count, panels) at p = 0.5,
-# frozen from one adaptive theta-quadrature per phi; batching the phi of a
+# frozen from one adaptive theta-quadrature per phi (the Orlicz errors from
+# the Newton solve in log s of norms._luxemburg_batch); batching the phi of a
 # level must not move a single bit
 LHS_BASELINE = {
     ("lq:q=4:dim=3", 2): (0.25833405599712916, 4.875012134936995e-08, -0.06270281611168649,
@@ -38,13 +39,13 @@ LHS_BASELINE = {
     ("euclidean:dim=3", 1024): (1.039362126577685, 2.2058126278915544e-08,
                                 -0.00428185167204489, 1.0436439782497298, 32, 704),
     ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 2): (
-        0.26173663307229755, 5.462732742506596e-07, -0.06255540982403338,
+        0.26173663307229755, 5.462732742678545e-07, -0.06255540982403338,
         0.3242920428963309, 64, 1536),
     ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 32): (
-        0.14458334368881245, 1.1360098773863449e-07, -0.017718792816154374,
+        0.14458334368881245, 1.136009877120882e-07, -0.017718792816154374,
         0.16230213650496683, 64, 1776),
     ("orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 1024): (
-        0.02909020279724057, 1.4899670747395999e-08, -0.0031343105604923114,
+        0.02909020279724057, 1.4899670747504622e-08, -0.0031343105604923114,
         0.03222451335773288, 64, 2028),
 }
 

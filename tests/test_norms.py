@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import broadcast_luxemburg, luxemburg_norm, norm_at, orlicz_value
+from levylab import norms
 from levylab.criterion import check_orlicz_flatness
 from levylab.norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
                            format_spec, norm_batch, parse_spec, subsphere_batch)
@@ -133,12 +135,34 @@ class TestOrliczSolveOracle:
         else:
             assert np.max(np.abs(got[~zero] - ref[~zero]) / ref[~zero]) <= 1e-15
 
+    @pytest.mark.parametrize("terms", [MIX_TERMS, TERMS[0], ELEVEN],
+                             ids=lambda t: "+".join(f"t^{q:.8g}" for _, q in t))
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_eight_steps_reach_the_uncapped_value(self, monkeypatch, terms, dim):
+        spec = NormSpec.orlicz_norm(terms, dim)
+        gauss = np.random.default_rng(100 + dim).standard_normal((20_000, dim))
+        xs = np.vstack([self.rows(dim), gauss])
+        full = norm_batch(spec, xs)
+        monkeypatch.setattr(norms, "ORLICZ_MAX_ITER", 8)
+        assert np.array_equal(norm_batch(spec, xs), full)
+
+    def test_zero_coefficient_matches_l4(self):
+        spec = NormSpec.orlicz_norm(OrliczFunction(terms=((0.0, 2.0), (1.0, 4.0))), 3)
+        xs = np.vstack([self.rows(3), np.random.default_rng(4).standard_normal((1000, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norm_batch(spec, xs)
+        ref = norm_batch(NormSpec.lq(4, 3), xs)
+        zero = ~np.any(xs != 0.0, axis=1)
+        assert np.all(got[zero] == 0.0)
+        assert np.max(np.abs(got[~zero] - ref[~zero]) / ref[~zero]) <= 1e-15
+
     @pytest.mark.parametrize("terms", [[(1.0, 2.0), (1.0, 1e300)],
                                        [(0.5, 2.0), (0.5, 1e20)],
                                        [(0.5, 2.0), (0.5, 1.0000001e15)]])
     def test_exponents_beyond_double_precision_refused(self, terms):
-        # a Newton step from s = max|x_k| on equal coordinates would round
-        # away (for 1e300 the norm of (1, 1, 1) would read 1, not sqrt(1.5))
+        # past 1e15 one ulp of u moves u^q, and with it M'(u) and M''(u) of
+        # the derivative formulas, by more than a factor e^0.22
         with pytest.raises(SpecError, match="exceeds"):
             NormSpec.orlicz_norm(terms, 3)
         total = sum(a for a, _ in terms)

@@ -144,6 +144,14 @@ class TestScreen:
         assert not cannot_beat(kernels, lowest - 0.5 * posdef.SCREEN_MARGIN)
         assert cannot_beat(kernels, lowest - 1e-6)
 
+    def test_unscreened_finds_exactly_the_kernels_that_can_beat_the_best(self):
+        rng = np.random.default_rng(3)
+        basis = np.linalg.qr(rng.standard_normal((40, 6, 6)))[0]
+        spectra = rng.uniform(0.5, 2.0, (40, 6))
+        spectra[[7, 29], 0] = -0.1                  # the two that beat best = 0
+        kernels = basis @ (spectra[:, :, None] * basis.transpose(0, 2, 1))
+        assert posdef.unscreened(kernels, 0.0) == [7, 29]
+
 
 class TestWitnessSearch:
     def test_l4_dim3_regression(self):
