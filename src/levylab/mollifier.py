@@ -44,7 +44,7 @@ the norm has a spherical representation ||x||^p = int |<x, xi>|^p dmu(xi):
 with c_p = 2^{p+1} sqrt(pi) Gamma((p+1)/2) / Gamma(-p/2) the Fourier
 constant of |z|^p, negative on (0, 2), so C(p) > 0. Dropping the 1/n^2
 term gives the n-independent lower bound C(p) * sum_j w_j xi_{j,1}^2.
-``demo_run`` sweeps n over DEMO_N and, for the Euclidean norm, evaluates
+``demo_run`` sweeps n over DEMO_N and, for l_2 in any spelling, evaluates
 the Fourier side against the calibrated uniform measure alongside.
 """
 
@@ -216,9 +216,10 @@ class DemoReport:
 
 
 def demo_run(spec: NormSpec, p: float) -> DemoReport:
-    """Mollified-pairing sweep over DEMO_N; for the Euclidean norm the Fourier
-    side is evaluated against the calibrated uniform measure as well."""
-    measure = uniform_calibrated_measure(p) if spec.kind == "euclidean" else None
+    """Mollified-pairing sweep over DEMO_N; for l_2 (M(t) = t^2, in any
+    spelling) the Fourier side is evaluated against the calibrated uniform
+    measure as well."""
+    measure = uniform_calibrated_measure(p) if spec.terms == ((1.0, 2.0),) else None
     rows = []
     for n in DEMO_N:
         lhs = lhs_integral(spec, p, n)

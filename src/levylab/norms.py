@@ -4,11 +4,14 @@ An Orlicz norm here is the Luxemburg-type functional: the unique s > 0 with
 sum_k M(|x_k| / s) = 1, where M is a convex power combination
 M(t) = sum_i a_i t^{q_i} with a_i >= 0 and 1 <= q_i <= MAX_EXPONENT,
 normalized so M(1) = 1 (which makes the standard basis vectors have unit
-norm). ``norm_batch`` sums each term's powers of |x_k| / max_k |x_k| once
-and finds tau = log(s / max_k |x_k|) by monotone Newton steps on the log of
-that sum of exponentials; a single-term M(t) = t^q takes the l_q closed
-form instead. Restricting M to power combinations keeps M' and M'' exact
-analytic expressions, which the derivative formulas downstream require.
+norm). The l_q norm, 1 <= q < inf, is the case M(t) = t^q, and the
+Euclidean norm is l_2. ``norm_batch`` computes every finite norm by one
+route: it sums each term's powers of |x_k| / max_k |x_k| once, takes the
+q-th root of that sum for a single term, and otherwise finds
+tau = log(s / max_k |x_k|) by monotone Newton steps on the log of a sum of
+exponentials. The max-norm is the row maximum. Restricting M to power
+combinations keeps M' and M'' exact analytic expressions, which the
+derivative formulas downstream require.
 
 Spec strings use the grammar (also documented in the cli module):
 
@@ -171,32 +174,30 @@ class NormSpec:
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormSpec":
+        """l_2 under its own label."""
         _check_dim(dim)
-        return cls(kind="euclidean", dim=int(dim))
+        return cls(kind="euclidean", dim=int(dim), q=2.0)
 
     @property
     def label(self) -> str:
         return format_spec(self)
 
     @property
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """The (coefficient, exponent) pairs of M, by exponent: ((1, q),) for l_q."""
+        return self.orlicz.terms if self.orlicz is not None else ((1.0, self.q),)
+
+    @property
     def smooth_in_x1(self) -> bool:
         """True when x1-sections are C^2 off the plane x1 = 0."""
-        if self.kind == "euclidean":
-            return True
-        if self.kind == "lq":
-            return 2.0 <= self.q < math.inf
-        return self.orlicz.min_exponent >= 2.0
+        return 2.0 <= self.terms[0][1] < math.inf
 
     def as_power_orlicz(self) -> OrliczFunction:
         """The equivalent power-combination Orlicz function, for the analytic
         derivative formulas. The max-norm has no such representation."""
-        if self.kind == "euclidean":
-            return OrliczFunction.from_terms([(1.0, 2.0)])
-        if self.kind == "lq":
-            if self.q == math.inf:
-                raise SpecError("q = inf has no power-Orlicz form (non-smooth sections)")
-            return OrliczFunction.from_terms([(1.0, self.q)])
-        return self.orlicz
+        if self.q == math.inf:
+            raise SpecError("q = inf has no power-Orlicz form (non-smooth sections)")
+        return self.orlicz or OrliczFunction.from_terms(self.terms)
 
 
 def _check_dim(dim) -> None:
@@ -207,42 +208,34 @@ def _check_dim(dim) -> None:
 def norm_batch(spec: NormSpec, xs) -> np.ndarray:
     """Row-wise norms of an (m, dim) array. Vectorized for every norm kind.
 
-    l_q norms and single-term Orlicz functions (M(t) = t^q after the
-    M(1) = 1 normalization) take the closed form; other Orlicz norms are
-    solved by monotone Newton steps in log s (``_luxemburg_batch``).
+    The max-norm is the row maximum of |x_k|; every other norm, Euclidean,
+    l_q and Orlicz alike, is the Luxemburg norm of its power terms
+    (``_luxemburg_batch``).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != spec.dim:
         raise ValueError(f"expected an (m, {spec.dim}) array, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
+    cols = np.abs(xs.T, order="C")          # (dim, rows): reduce over long rows
+    peak = cols.max(axis=0)
+    if not np.all(np.isfinite(peak)):
         raise ValueError("non-finite input vector")
-    ax = np.abs(xs)
-    if spec.kind == "euclidean":
-        return np.sqrt((xs * xs).sum(axis=1))
-    if spec.kind == "orlicz":
-        if len(spec.orlicz.terms) > 1:
-            return _luxemburg_batch(spec.orlicz, ax)
-        q = spec.orlicz.min_exponent    # M(t) = t^q: the l_q norm
-    else:
-        q = spec.q
-    if q == math.inf:
-        return ax.max(axis=1)
-    # factor out the max to dodge overflow for large entries
-    m = ax.max(axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
-    out = safe * ((ax / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
-    return np.where(m > 0.0, out, 0.0)
+    if spec.q == math.inf:
+        return peak
+    return _luxemburg_batch(spec.terms, cols, peak)
 
 
-def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
-    """Solve sum_k M(|x_k| / s) = 1 row-wise by monotone Newton steps in
-    tau = log(s / m), m = max_k |x_k|.
+def _luxemburg_batch(terms, cols: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Solve sum_k M(|x_k| / s) = 1 row-wise for M(t) = sum_i a_i t^{q_i}
+    given by its (a_i, q_i) ``terms``, from the (dim, rows) array ``cols``
+    of |x_k| and its column maxima ``peak`` = m.
 
     With y_k = |x_k| / m in [0, 1] and c_i = a_i sum_k y_k^{q_i}, the left
-    side is F(tau) = sum_i c_i e^{-q_i tau}, so each row raises its
-    coordinates to each exponent once. g = ln F is convex (a log-sum-exp of
-    linear functions) and decreasing, so Newton's method on g started where
-    g >= 0 rises to the root without overshooting; the step is
+    side in tau = log(s / m) is F(tau) = sum_i c_i e^{-q_i tau}, so each row
+    raises its coordinates to each exponent once. A single term has the
+    root s = m c^{1/q}: the l_q closed form. With several terms, g = ln F
+    is convex (a log-sum-exp of linear functions) and decreasing, so
+    Newton's method on g started where g >= 0 rises to the root without
+    overshooting; the step is
     tau <- tau + ln(F) F / D with D = sum_i q_i c_i e^{-q_i tau}. The start
     tau = max(0, max_i ln(c_i) / q_i) is such a point: F(tau) >= c_i e^{-q_i tau}
     for each i, and g(0) = ln sum_i c_i >= 0 because each power sum is at
@@ -253,20 +246,21 @@ def _luxemburg_batch(fn: OrliczFunction, ax: np.ndarray) -> np.ndarray:
     exponent bound is needed here. Each row iterates alone, so its value
     does not depend on the rest of the batch; zero rows are exact zeros.
 
-    The power sums add the coordinate rows of the contiguous (dim, rows)
-    array left to right, term by term in exponent order, and the steps run
-    on tau and the c_i compacted to the still-rising rows.
+    The power sums add the coordinate rows of ``cols`` left to right, term
+    by term in exponent order, and the steps run on tau and the c_i
+    compacted to the still-rising rows.
     """
-    out = np.zeros(len(ax))
-    cols = np.ascontiguousarray(ax.T)
-    peak = cols.max(axis=0)
+    out = np.zeros(len(peak))
     rows = np.flatnonzero(peak > 0.0)
-    if len(rows) < len(ax):
+    if len(rows) < len(peak):
         cols, peak = cols[:, rows], peak[rows]
     ys = cols / peak
-    terms = [(coef, exp) for coef, exp in fn.terms if coef > 0.0]    # ln(0) warns
-    exps = np.array([exp for _, exp in terms])[:, None]
+    terms = [(coef, exp) for coef, exp in terms if coef > 0.0]      # ln(0) warns
     c = np.array([coef * sum(ys ** exp) for coef, exp in terms])
+    if len(terms) == 1:
+        out[rows] = peak * c[0] ** (1.0 / terms[0][1])
+        return out
+    exps = np.array([exp for _, exp in terms])[:, None]
     tau = np.maximum((np.log(c) / exps).max(axis=0), 0.0)
     final = np.empty_like(tau)
     active = np.arange(len(tau))

@@ -250,6 +250,34 @@ class TestDemoCommand:
                         "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec", ["lq:q=inf:dim=3", "lq:q=1.5:dim=3"])
+    def test_demo_refuses_non_smooth_sections(self, tmp_path, capsys, spec):
+        assert run_cli(["demo", "--spec", spec, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid configuration: the x1-sections must be C^2 off the plane x1 = 0"]
+
+
+class TestSpellingsOfL2:
+    SPELLINGS = ["euclidean:dim=3", "lq:q=2:dim=3", "orlicz:terms=1*t^2:dim=3"]
+    # the labels, and the Orlicz-only lines of the criterion report
+    DROPPED = ("spec:", "# spec=", "spec=", "file=", "analytic_flatness:", "disagreement:")
+
+    def test_all_writes_the_same_artifacts(self, tmp_path):
+        artifacts = []
+        for k, spec in enumerate(self.SPELLINGS):
+            out = tmp_path / str(k)
+            assert run_cli(["all", "--spec", spec, "--p", "0.5", "--levels", "16:32,64:128",
+                            "--trials", "50", "--points", "6", "--theta-count", "64",
+                            "--out", str(out)]) == EXIT_OK
+            artifacts.append({
+                f.name.replace(spec_slug(spec), "SPEC"):
+                    [line for line in f.read_text().splitlines()
+                     if not line.startswith(self.DROPPED)]
+                for f in out.iterdir()})
+        assert len(artifacts[0]) == 10      # four routes (demo included) and the manifest
+        assert artifacts[1] == artifacts[0]
+        assert artifacts[2] == artifacts[0]
+
 
 class TestDeterminism:
     @staticmethod

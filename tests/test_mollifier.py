@@ -293,6 +293,12 @@ class TestIdentity:
         # 0.799 by its pole resolution error (~7e-3 at n = 32)
         assert rhs_seq[-1] / limit == pytest.approx(0.8045, abs=5e-3)
 
+    @pytest.mark.parametrize("text", ["lq:q=2:dim=3", "orlicz:terms=1*t^2:dim=3"])
+    def test_every_spelling_of_l2_gets_the_fourier_side(self, text):
+        report = mollifier.demo_run(parse_spec(text), 0.5)
+        assert report.measure_atoms == 2048
+        assert report.rows == mollifier.demo_run(EUC, 0.5).rows
+
     def test_demo_csv_shape(self):
         report = DemoReport(spec_label="lq:q=4:dim=3", p=0.5,
                             rows=[], measure_atoms=0)
