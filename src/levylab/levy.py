@@ -35,9 +35,11 @@ RESIDUAL_FLOOR = 1e-12         # residuals below this are rounding noise and com
 NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
 NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
+PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's directions
 # Largest level: directions (a plateau probe's 4x included) and samples.
-# solve_nnls holds two n x n arrays for n directions, and A is samples x n;
-# the dim-3 default's probe has 4096 directions.
+# solve_nnls holds two n x n arrays for the n directions of each scan level,
+# and A is samples x n. The probe's A holds all of its directions (4096 for
+# the dim-3 default), but solve_nnls receives only the priced columns.
 MAX_LEVEL_SIZE = 8192
 
 FEASIBLE = "FeasibleEvidence"
@@ -123,6 +125,7 @@ class FeasibilityResult:
     best_measure: SphericalMeasure
     plateau_probe: FeasibilityLevel | None = None
     converged: bool = True
+    probe_pricing: tuple[int, int] | None = None   # (rounds, final restricted columns)
 
 
 def to_hemisphere(directions: np.ndarray) -> np.ndarray:
@@ -218,14 +221,11 @@ def solve_nnls(A, b) -> NnlsSolution:
     numerically in the span of the passive columns; it is passed over and the
     next-largest dual enters instead.
 
-    Gram columns are kept column-major in entry order. A tall system
-    (columns <= rows), whose Gram is no larger than A, forms all of A^T A in
-    one symmetric BLAS-3 product, and a column that enters is moved into
-    place by a column swap. A wide system computes a Gram column lazily, one
-    matvec when the column first enters, so an active set that stays small
-    never touches most of A^T A. The reported residual is evaluated directly
-    from A x - b, so it is not limited by the squared conditioning of the
-    normal equations.
+    All of G = A^T A is formed in one symmetric BLAS-3 product, wide systems
+    included; its columns are kept column-major in entry order, and a column
+    that enters is moved into place by a column swap. The reported residual
+    is evaluated directly from A x - b, so it is not limited by the squared
+    conditioning of the normal equations.
 
     Deterministic for fixed input: the entering column is always the first
     index attaining the largest dual value above NNLS_DUAL_TOL. Hitting the
@@ -238,15 +238,13 @@ def solve_nnls(A, b) -> NnlsSolution:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in the system")
-    m, n = A.shape
+    n = A.shape[1]
     max_iter = NNLS_ITER_FACTOR * n
     b_norm = float(np.linalg.norm(b))
 
     atb = A.T @ b
     gram = np.empty((n, n), order="F")   # gram[:, s] = G[:, stored[s]]
-    tall = n <= m
-    if tall:
-        np.matmul(A.T, A, out=gram.T)    # symmetric, so gram holds G as well
+    np.matmul(A.T, A, out=gram.T)        # symmetric, so gram holds G as well
     stored = np.arange(n)
     slot = np.arange(n)                  # stored[slot[j]] == j
     basis = np.empty((n, n))             # W = basis[:k, :k], W W^T = inverse of G_PP
@@ -259,10 +257,7 @@ def solve_nnls(A, b) -> NnlsSolution:
         if s >= n_stored:
             # j takes slot n_stored; the column there moves to j's old slot
             i = stored[n_stored]
-            if tall:
-                gram[:, [n_stored, s]] = gram[:, [s, n_stored]]
-            else:
-                gram[:, n_stored] = A.T @ A[:, j]
+            gram[:, [n_stored, s]] = gram[:, [s, n_stored]]
             stored[s], slot[i] = i, s
             stored[n_stored], slot[j] = j, n_stored
             n_stored += 1
@@ -299,8 +294,14 @@ def solve_nnls(A, b) -> NnlsSolution:
         # leaves the factor for the remaining columns
         v = basis[last, :k].copy()
         v[last] += math.copysign(float(np.linalg.norm(v)), v[last])
-        w_k = basis[:last, :k]
-        basis[:last, :last] -= np.multiply.outer(w_k @ v, v[:last] * (2.0 / (v @ v)))
+        u = basis[:last, :k] @ v
+        s = v[:last] * (2.0 / (v @ v))
+        # subtract the rank-1 term u s^T in place, in row blocks of about
+        # 2^15 entries, so no last x last temporary is allocated
+        step = max(1, (1 << 15) // max(last, 1))
+        for lo in range(0, last, step):
+            hi = min(lo + step, last)
+            basis[lo:hi, :last] -= u[lo:hi, None] * s
         k = last
 
     x = np.zeros(n)
@@ -373,6 +374,50 @@ def _measure_from_solution(directions: np.ndarray, weights: np.ndarray) -> Spher
     return SphericalMeasure(directions=directions[keep], weights=weights[keep])
 
 
+def _nearest_columns(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Sorted indices of the PROBE_REFINEMENT directions nearest each atom,
+    by largest |<atom, xi>| (antipodes are identified). The atoms x
+    directions product is freed on return, before pricing allocates."""
+    closeness = np.abs(atoms @ directions.T)
+    nearest = np.argpartition(closeness, -PROBE_REFINEMENT, axis=1)
+    return np.unique(nearest[:, -PROBE_REFINEMENT:])
+
+
+def _solve_priced(A: np.ndarray, b: np.ndarray, columns: np.ndarray):
+    """solve_nnls on A by column generation from ``columns``, sorted column
+    indices without repeats.
+
+    Each round solves the restricted system A[:, S] and prices every column
+    with one product w = A^T (b - A[:, S] x_S); the columns outside S with
+    w > NNLS_DUAL_TOL join S. The rounds end when none joins, which is the
+    dual test solve_nnls applies to all of A, or when a restricted solve did
+    not converge. Returns the solution (zero outside S, iterations summed
+    over the rounds) and the pair (rounds, final size of S).
+    """
+    x = np.zeros(A.shape[1])
+    iterations = rounds = 0
+    while True:
+        restricted = A[:, columns]
+        sol = solve_nnls(restricted, b)
+        iterations += sol.iterations
+        rounds += 1
+        if not sol.converged:
+            break
+        w = A.T @ (b - restricted @ sol.weights)
+        w[columns] = -np.inf
+        entering = np.flatnonzero(w > NNLS_DUAL_TOL)
+        if not entering.size:
+            break
+        columns = np.union1d(columns, entering)
+        # free this round's copy before the next gather, which is larger: a
+        # freed heap block it cannot reuse would add to the peak set by A
+        del restricted
+    x[columns] = sol.weights
+    return (NnlsSolution(weights=x, relative_residual=sol.relative_residual,
+                         converged=sol.converged, iterations=iterations),
+            (rounds, len(columns)))
+
+
 def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> FeasibilityResult:
     """Solve the moment problem across refinement levels and grade the outcome.
 
@@ -383,6 +428,11 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     samples. Anything else (including a solver that hit its iteration cap)
     is Inconclusive. Thresholds are calibration constants and are printed
     in the report.
+
+    The plateau probe is solved by pricing (``_solve_priced``) from the
+    PROBE_REFINEMENT probe directions nearest each atom of the last level's
+    solution (largest |<atom, xi>|): the same optimum as one solve over all
+    probe directions, while solve_nnls sees only a few of them.
     """
     check_p(p)
     if spec.dim not in DEFAULT_LEVELS:
@@ -393,19 +443,17 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     levels = [(int(d), int(s)) for d, s in levels]
     if not levels or any(d < 1 or s < 1 for d, s in levels):
         raise ValueError("levels must be a nonempty list of positive (directions, samples)")
-    largest = max(4 * levels[-1][0], *(max(d, s) for d, s in levels))
+    largest = max(PROBE_REFINEMENT * levels[-1][0], *(max(d, s) for d, s in levels))
     if largest > MAX_LEVEL_SIZE:
         raise ValueError(f"levels need {largest} directions or samples (the plateau probe "
-                         f"takes 4x the last level's directions), more than {MAX_LEVEL_SIZE}")
+                         f"takes {PROBE_REFINEMENT}x the last level's directions), "
+                         f"more than {MAX_LEVEL_SIZE}")
     rng = np.random.default_rng(seed)
     sample_sets = [sample_norm_sphere(spec, s, rng) for _, s in levels]
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]
 
-    def solve_level(dirs, samples):
-        A, b = assemble_moment_system(spec, p, samples, dirs)
-        return solve_nnls(A, b)
-
-    solutions = [solve_level(d, s) for d, s in zip(direction_sets, sample_sets)]
+    solutions = [solve_nnls(*assemble_moment_system(spec, p, s, d))
+                 for d, s in zip(direction_sets, sample_sets)]
     level_rows = [FeasibilityLevel.from_solution(len(d), len(s), sol)
                   for d, s, sol in zip(direction_sets, sample_sets, solutions)]
     residuals = np.array([row.relative_residual for row in level_rows])
@@ -415,7 +463,7 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     best_measure = _measure_from_solution(direction_sets[best_idx],
                                           solutions[best_idx].weights)
 
-    probe_row = None
+    probe_row = pricing = None
     interpretation = INCONCLUSIVE
     if converged:
         floored = np.maximum(residuals, RESIDUAL_FLOOR)
@@ -424,8 +472,10 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
         if residuals[-1] < FEASIBLE_RESIDUAL and decreasing:
             interpretation = FEASIBLE
         elif np.all(residuals > PLATEAU_RESIDUAL):
-            probe_dirs = direction_grid(spec.dim, 4 * levels[-1][0])
-            probe_sol = solve_level(probe_dirs, sample_sets[-1])
+            probe_dirs = direction_grid(spec.dim, PROBE_REFINEMENT * levels[-1][0])
+            A, b = assemble_moment_system(spec, p, sample_sets[-1], probe_dirs)
+            atoms = direction_sets[-1][solutions[-1].weights > 0.0]
+            probe_sol, pricing = _solve_priced(A, b, _nearest_columns(atoms, probe_dirs))
             probe_row = FeasibilityLevel.from_solution(len(probe_dirs), levels[-1][1],
                                                        probe_sol)
             if probe_sol.converged:
@@ -439,6 +489,7 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
         spec_label=spec.label, p=p, seed=seed, levels=level_rows,
         interpretation=interpretation, best_measure=best_measure,
         plateau_probe=probe_row, converged=converged,
+        probe_pricing=pricing,
     )
 
 
@@ -485,4 +536,7 @@ def feasibility_report_text(result: FeasibilityResult) -> str:
         lines.append(f"{tag}: directions={lv.direction_count} samples={lv.sample_count} "
                      f"residual={g17(lv.relative_residual)} iterations={lv.iterations} "
                      f"active={lv.active} converged={lv.converged}")
+    if result.probe_pricing is not None:
+        rounds, columns = result.probe_pricing
+        lines.append(f"probe_pricing: rounds={rounds} columns={columns}")
     return "\n".join(lines) + "\n"

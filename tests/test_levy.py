@@ -22,6 +22,8 @@ EUC = NormSpec.euclidean(3)
 L4_P1_PLATEAU = 0.029208427881332277
 L4_P1_PROBE = 0.0290388612220332
 
+solve_priced = levy._solve_priced
+
 
 def assert_matches_reference(A, b):
     mine = solve_nnls(A, b)
@@ -151,7 +153,7 @@ class TestNnls:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_wide_matches_reference_solver(self, seed):
-        # more columns than rows: Gram columns are computed as they enter
+        # more columns than rows: the Gram matrix is larger than A
         rng = np.random.default_rng(seed)
         assert_matches_reference(rng.standard_normal((15, 40)), rng.standard_normal(15))
 
@@ -337,6 +339,61 @@ class TestScan:
             L4_P1_PLATEAU, rel=1e-6)
         assert res.plateau_probe.relative_residual == pytest.approx(
             L4_P1_PROBE, rel=1e-6)
+
+    @pytest.mark.parametrize("spec, p, levels, probe_size", [
+        (L4, 1.0, [(32, 128), (128, 256)], 512),
+        (NormSpec.lq(4, 2), 1.5, None, 1024),
+    ])
+    def test_priced_probe_matches_whole_grid(self, monkeypatch, spec, p, levels,
+                                             probe_size):
+        # pricing from the last level's atoms stops on the dual test a
+        # solve over every probe direction applies, so it reaches the same
+        # optimum while solve_nnls sees only part of the grid
+        calls = []
+
+        def recording(A, b, columns):
+            calls.append((A, b, solve_priced(A, b, columns)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(levy, "_solve_priced", recording)
+        res = feasibility_scan(spec, p, levels=levels, seed=7)
+        (A, b, (priced, (rounds, columns))), = calls
+        whole = solve_nnls(A, b)
+        assert A.shape[1] == probe_size
+        assert priced.converged and whole.converged
+        assert priced.relative_residual == pytest.approx(
+            whole.relative_residual, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(priced.weights > 0.0, whole.weights > 0.0)
+        assert columns < probe_size
+        assert res.plateau_probe.relative_residual == priced.relative_residual
+        assert res.plateau_probe.iterations == priced.iterations
+        assert res.probe_pricing == (rounds, columns)
+        assert f"probe_pricing: rounds={rounds} columns={columns}" in \
+            feasibility_report_text(res).splitlines()
+
+    def test_pricing_from_an_empty_start(self):
+        rng = np.random.default_rng(4)
+        A, b = rng.standard_normal((90, 30)), rng.standard_normal(90)
+        priced, (rounds, columns) = solve_priced(A, b, np.zeros(0, dtype=np.intp))
+        whole = solve_nnls(A, b)
+        assert rounds > 1 and 0 < columns < 30
+        assert priced.relative_residual == pytest.approx(
+            whole.relative_residual, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(priced.weights > 0.0, whole.weights > 0.0)
+
+    def test_pricing_stops_at_a_restricted_solve_that_did_not_converge(self, monkeypatch):
+        monkeypatch.setattr(levy, "NNLS_ITER_FACTOR", 0.1)
+        rng = np.random.default_rng(5)
+        A = rng.random((30, 90))
+        priced, (rounds, columns) = solve_priced(A, rng.random(30), np.arange(10))
+        assert not priced.converged
+        assert (rounds, columns) == (1, 10)
+        assert np.all(priced.weights[10:] == 0.0)
+
+    def test_no_pricing_line_without_probe(self):
+        res = feasibility_scan(NormSpec.lq(4, 2), 1.0, seed=7)
+        assert res.plateau_probe is None and res.probe_pricing is None
+        assert "probe_pricing" not in feasibility_report_text(res)
 
     def test_l1_dim3_atoms_cluster_at_signed_basis(self):
         # an exact 3-atom measure exists; at desk-scale grids the residual
