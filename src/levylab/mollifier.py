@@ -114,7 +114,6 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
     if not spec.smooth_in_x1:
         raise ValueError("the x1-sections must be C^2 off the plane x1 = 0")
     _check_bump_index(n)
-    fn = spec.as_power_orlicz()
     # c0 / n, doubled for the evenness of G in s
     scale = 2.0 ** ((p + 1.0) / 2.0) * math.gamma((p + 1.0) / 2.0) / (2.0 * math.pi) ** 1.5
     theta_breaks = [math.atan(n * 4.0 ** k) for k in range(-10, 11)]
@@ -126,7 +125,7 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
 
         def integrand(theta: np.ndarray, owner: np.ndarray) -> np.ndarray:
             pts = np.column_stack([np.tan(theta) / n, cphi[owner], sphi[owner]])
-            d1, d2, nrm = d1_d2_norm_batch(fn, pts)
+            d1, d2, nrm = d1_d2_norm_batch(spec, pts)
             weight = scale * np.cos(theta) ** (p - 1.0)
             return np.column_stack([p * (p - 1.0) * nrm ** (p - 2.0) * d1 * d1 * weight,
                                     p * nrm ** (p - 1.0) * d2 * weight])

@@ -10,8 +10,10 @@ route: it sums each term's powers of |x_k| / max_k |x_k| once, takes the
 q-th root of that sum for a single term, and otherwise finds
 tau = log(s / max_k |x_k|) by monotone Newton steps on the log of a sum of
 exponentials. The max-norm is the row maximum. Restricting M to power
-combinations keeps M' and M'' exact analytic expressions, which the
-derivative formulas downstream require.
+combinations keeps M' and M'' exact analytic expressions: the derivatives
+module sums them from ``NormSpec.terms``, the one form of M every finite
+norm carries, and refuses an exponent above MAX_EXPONENT there (an l_q spec
+takes any q >= 1; ``OrliczFunction`` refuses it when it is built).
 
 Spec strings use the grammar (also documented in the cli module):
 
@@ -30,7 +32,7 @@ import numpy as np
 MIN_DIM = 2
 MAX_DIM = 8
 ORLICZ_MAX_ITER = 200       # cap on the Newton steps of one row
-# Largest Orlicz exponent: one ulp of u moves u^q by a factor of at most
+# Largest exponent of M: one ulp of u moves u^q by a factor of at most
 # e^(q eps) ~ e^0.22, so the powers in M'(u) and M''(u) of the derivative
 # formulas stay accurate, and M' and M'' stay finite on [0, 1]. (The Newton
 # solve of the norm needs no such bound.)
@@ -108,45 +110,6 @@ class OrliczFunction:
                                key=lambda item: item[1]))
         return cls(terms=ordered)
 
-    def _arrays(self):
-        coefs = np.array([c for c, _ in self.terms])
-        exps = np.array([e for _, e in self.terms])
-        return coefs, exps
-
-    def deriv(self, t):
-        """M'(t) = sum a q t^{q-1}."""
-        t = np.asarray(t, dtype=float)
-        coefs, exps = self._arrays()
-        out = (coefs * exps * t[..., None] ** (exps - 1.0)).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-    def deriv2(self, t):
-        """M''(t) = sum a q (q-1) t^{q-2}; +inf at 0 when an exponent lies in (1, 2)."""
-        t = np.asarray(t, dtype=float)
-        coefs, exps = self._arrays()
-        c2 = coefs * exps * (exps - 1.0)
-        keep = c2 != 0.0  # exponent-1 terms vanish; avoid 0 * inf at t = 0
-        with np.errstate(divide="ignore"):
-            powers = t[..., None] ** (exps[keep] - 2.0)
-        out = (c2[keep] * powers).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def min_exponent(self) -> float:
-        return self.terms[0][1]
-
-    @property
-    def deriv_at_zero(self) -> float:
-        """M'(0): the coefficient of the linear term, zero otherwise."""
-        return math.fsum(c for c, e in self.terms if e == 1.0)
-
-    @property
-    def deriv2_at_zero(self) -> float:
-        """M''(0): 2a for a t^2 term, +inf for exponents in (1, 2), else 0."""
-        if any(1.0 < e < 2.0 for _, e in self.terms):
-            return math.inf
-        return math.fsum(2.0 * c for c, e in self.terms if e == 2.0)
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -191,13 +154,6 @@ class NormSpec:
     def smooth_in_x1(self) -> bool:
         """True when x1-sections are C^2 off the plane x1 = 0."""
         return 2.0 <= self.terms[0][1] < math.inf
-
-    def as_power_orlicz(self) -> OrliczFunction:
-        """The equivalent power-combination Orlicz function, for the analytic
-        derivative formulas. The max-norm has no such representation."""
-        if self.q == math.inf:
-            raise SpecError("q = inf has no power-Orlicz form (non-smooth sections)")
-        return self.orlicz or OrliczFunction.from_terms(self.terms)
 
 
 def _check_dim(dim) -> None:

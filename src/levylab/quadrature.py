@@ -10,7 +10,7 @@ a-posteriori bound conservative.
 ``integrate_batch`` advances many independent integrals in the same rounds:
 one integrand call serves the new panels of every integral still open, and
 each integral keeps its own panels, decisions and sums, so it comes out
-bit-identical to running it alone (``integrate`` is the one-integral view).
+bit-identical to running it alone (a count of 1 is the one-integral case).
 The mollified pairing batches its theta-integrals across the phi of one
 refinement level this way.
 """
@@ -187,14 +187,3 @@ def integrate_batch(f, count: int, a: float, b: float, rel_tol: float = 1e-8,
         results.append(QuadResult(value=total, error=total_err, panels=len(lo[i]),
                                   converged=total_err <= target))
     return results
-
-
-def integrate(f, a: float, b: float, rel_tol: float = 1e-8,
-              breakpoints=None, max_panels: int = 4096) -> QuadResult:
-    """Adaptive integral of a vectorized (possibly vector-valued) integrand.
-
-    ``f(x)`` maps an (N,) array to (N,) or (N, k); the one-integral view of
-    ``integrate_batch``.
-    """
-    return integrate_batch(lambda x, _owner: f(x), 1, a, b, rel_tol=rel_tol,
-                           breakpoints=breakpoints, max_panels=max_panels)[0]

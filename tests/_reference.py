@@ -11,7 +11,8 @@ on a broadcast (rows, coordinates, terms) layout, the witness search as a
 plain serial loop (full m x m distance matrices, one eigenproblem per
 scale, a full recompute per refinement step), central differences of the
 norm for its x1-partials (they see only ``norm_batch``, never the analytic
-formulas), and M(t) summed term by term from ``OrliczFunction.terms``.
+formulas), and M(t) summed term by term from its (coefficient, exponent)
+terms.
 """
 
 import math
@@ -26,8 +27,7 @@ from levylab.norms import ORLICZ_MAX_ITER, norm_batch
 from levylab.posdef import (DEFAULT_TRIALS, REFINE_STEP_FRACTION, REFINE_STEPS,
                             SCALE_SWEEP, SEARCH_CHUNKS, PsdWitness, kernel_matrix,
                             min_eigenvalue)
-from levylab.quadrature import PANEL_NODES, panel_nodes, panel_sums
-from levylab.quadrature import integrate as gk_integrate
+from levylab.quadrature import PANEL_NODES, integrate_batch, panel_nodes, panel_sums
 
 
 def fourier_constant_reference(p: float) -> float:
@@ -53,8 +53,8 @@ class Mollifier:
     def mass(self) -> float:
         """Quadrature of h_n over |x1| <= 12/n (missed tails < 1e-31)."""
         top = 12.0 / self.n
-        res = gk_integrate(self.h, 0.0, top, rel_tol=1e-12,
-                           breakpoints=[top * 2.0 ** -k for k in range(1, 8)])
+        res = integrate_batch(lambda x, _o: self.h(x), 1, 0.0, top, rel_tol=1e-12,
+                              breakpoints=[top * 2.0 ** -k for k in range(1, 8)])[0]
         return 2.0 * float(res.value.sum())
 
     def tail_mass(self, delta: float) -> float:
@@ -62,8 +62,9 @@ class Mollifier:
         if delta <= 0.0:
             raise ValueError("delta must be positive")
         top = delta + 12.0 / self.n
-        res = gk_integrate(self.h, delta, top, rel_tol=1e-12,
-                           breakpoints=[delta + (top - delta) * k / 8 for k in range(1, 8)])
+        res = integrate_batch(lambda x, _o: self.h(x), 1, delta, top, rel_tol=1e-12,
+                              breakpoints=[delta + (top - delta) * k / 8
+                                           for k in range(1, 8)])[0]
         return 2.0 * float(res.value.sum())
 
 
@@ -122,7 +123,6 @@ def tensor_lhs(spec, p: float, n: int, rel_tol: float = 1e-5) -> float:
     < 1e-30), and the periodic trapezoid rule in phi, doubled until two
     levels agree within rel_tol. Uses neither homogeneity nor the radial
     Gaussian moment."""
-    fn = spec.as_power_orlicz()
     moll = Mollifier(n)
     cut, r_cut = 10.0 / n, 12.0
 
@@ -131,8 +131,8 @@ def tensor_lhs(spec, p: float, n: int, rel_tol: float = 1e-5) -> float:
         lo, hi = bp[:, :-1].ravel(), bp[:, 1:].ravel()
         xs1 = panel_nodes(lo, hi).ravel()
         r_rep = np.repeat(r, (bp.shape[1] - 1) * PANEL_NODES)
-        d1, d2, nrm = d1_d2_norm_batch(fn, np.column_stack([xs1, r_rep * cphi,
-                                                            r_rep * sphi]))
+        d1, d2, nrm = d1_d2_norm_batch(spec, np.column_stack([xs1, r_rep * cphi,
+                                                              r_rep * sphi]))
         g = (p * (p - 1) * nrm ** (p - 2) * d1 * d1 + p * nrm ** (p - 1) * d2) * moll.h(xs1)
         kron, _ = panel_sums(g.reshape(-1, PANEL_NODES, 1), lo, hi)
         x1_integral = kron.reshape(len(r), -1).sum(axis=1)
@@ -140,9 +140,9 @@ def tensor_lhs(spec, p: float, n: int, rel_tol: float = 1e-5) -> float:
         return 2.0 * x1_integral * np.exp(-0.5 * r * r) / (2.0 * math.pi) * r
 
     def phi_slice(phi):
-        res = gk_integrate(lambda r: plane_integrand(r, math.cos(phi), math.sin(phi)),
-                           0.0, r_cut, rel_tol=1e-7, max_panels=512,
-                           breakpoints=[r_cut * 2.0 ** -k for k in range(1, 49)])
+        res = integrate_batch(lambda r, _o: plane_integrand(r, math.cos(phi), math.sin(phi)),
+                              1, 0.0, r_cut, rel_tol=1e-7, max_panels=512,
+                              breakpoints=[r_cut * 2.0 ** -k for k in range(1, 49)])[0]
         return float(res.value.sum())
 
     m = 16
@@ -245,14 +245,16 @@ def luxemburg_norm(terms, x) -> float:
     return m * root
 
 
-def broadcast_luxemburg(fn, ax) -> np.ndarray:
+def broadcast_luxemburg(terms, ax) -> np.ndarray:
     """The Newton solve of ``norms._luxemburg_batch`` written on a broadcast
     (rows, coordinates, terms) power array, reduced over the coordinate
     axis, with (rows, terms) steps reduced over the term axis: the same
     power sums c_i, start, step in tau = log(s / max|x_k|) and stopping rule
-    on a different array layout. ``ax`` holds |x| row-wise."""
+    on a different array layout, for M given by its (a_i, q_i) ``terms``.
+    ``ax`` holds |x| row-wise."""
     out = np.zeros(len(ax))
-    coefs, exps = fn._arrays()
+    coefs = np.array([c for c, _ in terms])
+    exps = np.array([e for _, e in terms])
     coefs, exps = coefs[coefs > 0.0], exps[coefs > 0.0]
     peak = ax.max(axis=1)
     rows = np.flatnonzero(peak > 0.0)

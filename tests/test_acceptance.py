@@ -23,7 +23,7 @@ from levylab import criterion as cr
 from levylab import levy, mollifier, posdef
 from levylab.cli import main as cli_main
 from levylab.derivatives import d1_d2_norm_batch
-from levylab.norms import NormSpec, OrliczFunction, parse_spec
+from levylab.norms import NormSpec, parse_spec
 
 # -- regression baselines from the first verified run ------------------------
 L4_P1_PLATEAU = 0.029208427881332277         # l4^3, p=1, seed 7, final level
@@ -98,8 +98,7 @@ class TestCriterion2DerivativeOracle:
         # relative tolerances with an absolute floor at the second-difference
         # noise scale (~eps ||x|| / h^2); see test_derivatives for the analysis
         spec = NormSpec.lq(4, 3)
-        fn = OrliczFunction.from_terms([(1.0, 4.0)])
-        d1, d2, _ = d1_d2_norm_batch(fn, sample)
+        d1, d2, _ = d1_d2_norm_batch(NormSpec.orlicz_norm([(1.0, 4.0)], 3), sample)
         worst1 = worst2 = 0.0
         for x, a1, a2 in zip(sample, d1, d2):
             f1, f2 = fd_d1(spec, x), fd_d2(spec, x)
@@ -111,9 +110,9 @@ class TestCriterion2DerivativeOracle:
                            f"d2 worst {worst2:.2e} (tol 1e-3)")
 
     def test_gradient_bound_and_homogeneity(self, sample):
-        fn = OrliczFunction.from_terms([(1.0, 4.0)])
-        d1, d2, _ = d1_d2_norm_batch(fn, sample)
-        _, d2_scaled, _ = d1_d2_norm_batch(fn, 2.0 * sample)
+        spec = NormSpec.orlicz_norm([(1.0, 4.0)], 3)
+        d1, d2, _ = d1_d2_norm_batch(spec, sample)
+        _, d2_scaled, _ = d1_d2_norm_batch(spec, 2.0 * sample)
         bound_ok = np.max(np.abs(d1)) <= 1.0 + 1e-9
         homog_ok = np.max(np.abs(d2_scaled - d2 / 2.0)) <= 1e-9
         ok = bound_ok and homog_ok

@@ -45,12 +45,21 @@ class TestParsing:
         assert cli.run(cli.RunConfig(command="bogus", spec="lq:q=4:dim=3",
                                      out=str(tmp_path))) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["criterion", "posdef"])
+    @pytest.mark.parametrize("command", ["criterion", "posdef", "demo"])
     def test_exponent_beyond_double_precision_exits_2(self, tmp_path, capsys, command):
+        # an Orlicz function refuses the exponent when the spec is parsed
         code = run_cli([command, "--spec", "orlicz:terms=1*t^2+1*t^1e300:dim=3",
-                        "--out", str(tmp_path)])
+                        "--out", str(tmp_path / "orlicz")])
         assert code == EXIT_CONFIG
         assert "exceeds 1e+15" in capsys.readouterr().err
+        # an l_q spec only where the derivative formulas raise u to its power
+        code = run_cli([command, "--spec", "lq:q=1e20:dim=3", "--out", str(tmp_path / "lq")])
+        err = capsys.readouterr().err
+        if command == "posdef":
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_CONFIG
+            assert "exceeds 1e+15" in err
 
     @pytest.mark.parametrize("p", ["0", "-1", "nan", "inf", "2.5"])
     @pytest.mark.parametrize("command", list(cli.COMMANDS))

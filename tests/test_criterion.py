@@ -136,9 +136,9 @@ class TestReportInvariants:
         # the 16 * theta_count rows that MAX_THETA_COUNT is sized for
         rows = []
 
-        def counted(fn, pts):
+        def counted(spec, pts):
             rows.append(len(pts))
-            return d1_d2_norm_batch(fn, pts)
+            return d1_d2_norm_batch(spec, pts)
 
         monkeypatch.setattr(cr, "d1_d2_norm_batch", counted)
         cr.second_derivative_test(NormSpec.lq(4, 3), theta_count=theta_count)

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from _reference import fd_d1, fd_d2
 from levylab import criterion
 from levylab.derivatives import d1_d2_norm_batch
-from levylab.norms import NormSpec, OrliczFunction
+from levylab.norms import NormSpec, norm_batch, parse_spec
 
-T4 = OrliczFunction.from_terms([(1.0, 4.0)])
-T2 = OrliczFunction.from_terms([(1.0, 2.0)])
-MIX = OrliczFunction.from_terms([(0.5, 3.0), (0.5, 5.0)])
+T4 = parse_spec("orlicz:terms=1*t^4:dim=3")
+T2 = parse_spec("orlicz:terms=1*t^2:dim=3")
+MIX = parse_spec("orlicz:terms=0.5*t^3+0.5*t^5:dim=3")
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
-SMIX = NormSpec.orlicz_norm(MIX, 3)
 
 # Floored relative comparison: central second differences of an eps-accurate
 # norm carry ~eps ||x|| / h^2 ~ 5e-6 absolute noise at h = 1e-5, so pointwise
@@ -43,9 +42,9 @@ L4_DERIVE_D1_D2 = [
 ]
 
 
-def d1_d2(fn, x) -> tuple[float, float]:
+def d1_d2(spec, x) -> tuple[float, float]:
     """(d1, d2) at the single point x."""
-    d1, d2, _ = d1_d2_norm_batch(fn, np.asarray(x, dtype=float)[None, :])
+    d1, d2, _ = d1_d2_norm_batch(spec, np.asarray(x, dtype=float)[None, :])
     return float(d1[0]), float(d2[0])
 
 
@@ -112,28 +111,27 @@ class TestSymmetriesAndBounds:
         assert np.max(np.abs(d2_scaled - d2 / 2.0)) <= 1e-9
 
     def test_d2_bounded_by_k_hat_over_section_norm(self):
-        report = criterion.second_derivative_test(SMIX)
+        report = criterion.second_derivative_test(MIX)
         assert report.verdict == criterion.APPLIES
         rng = np.random.default_rng(10)
         pts = _random_points(rng, 500)
         _, d2, _ = d1_d2_norm_batch(MIX, pts)
         sections = pts.copy()
         sections[:, 0] = 0.0
-        from levylab.norms import norm_batch
-        section_norms = norm_batch(SMIX, sections)
+        section_norms = norm_batch(MIX, sections)
         assert np.all(d2 <= report.k_hat / section_norms * (1.0 + 1e-9))
 
     @pytest.mark.parametrize(
-        "fn", [T4, T2, MIX, OrliczFunction.from_terms([(0.2, 3.0), (0.3, 4.0), (0.5, 7.0)])],
+        "spec", [T4, T2, MIX, NormSpec.orlicz_norm([(0.2, 3.0), (0.3, 4.0), (0.5, 7.0)], 3)],
         ids=["t^4", "t^2", "mix", "three-term"])
-    def test_exact_power_of_two_homogeneity(self, fn):
+    def test_exact_power_of_two_homogeneity(self, spec):
         # the criterion's condition-II tail is its scan continued on
         # x1 = X1_MAX 2^k, which rests on this holding bit for bit
         pts = _random_points(np.random.default_rng(17), 500)
-        d1, d2, nrm = d1_d2_norm_batch(fn, pts)
+        d1, d2, nrm = d1_d2_norm_batch(spec, pts)
         for k in range(-40, 41):
             scale = 2.0 ** k
-            d1_s, d2_s, nrm_s = d1_d2_norm_batch(fn, scale * pts)
+            d1_s, d2_s, nrm_s = d1_d2_norm_batch(spec, scale * pts)
             assert np.array_equal(d1_s, d1)
             assert np.array_equal(d2_s * scale, d2)
             assert np.array_equal(nrm_s / scale, nrm)
@@ -149,9 +147,9 @@ class TestSymmetriesAndBounds:
 
 class TestBatching:
     @pytest.mark.parametrize(
-        "fn", [T4, T2, MIX, OrliczFunction.from_terms([(0.3, 2.0), (0.7, 7.5)])],
+        "spec", [T4, T2, MIX, NormSpec.orlicz_norm([(0.3, 2.0), (0.7, 7.5)], 3)],
         ids=["t^4", "t^2", "mix", "t^2+t^7.5"])
-    def test_rows_equal_points_evaluated_alone(self, fn):
+    def test_rows_equal_points_evaluated_alone(self, spec):
         # the fixed probes, random points, and rows x1 = 1 with shrinking
         # sections (the criterion's tail rows after prescaling) all go
         # through one call
@@ -160,8 +158,8 @@ class TestBatching:
         tail = np.concatenate([np.column_stack([np.ones(len(tube)), tube * 2.0 ** -k])
                                for k in range(0, 40, 8)])
         pts = np.vstack([DERIVE_PROBES, _random_points(rng, 200), tail])
-        batch = d1_d2_norm_batch(fn, pts)
-        alone = [d1_d2_norm_batch(fn, x[None, :]) for x in pts]
+        batch = d1_d2_norm_batch(spec, pts)
+        alone = [d1_d2_norm_batch(spec, x[None, :]) for x in pts]
         for k in range(3):
             assert np.array_equal(batch[k], np.concatenate([a[k] for a in alone]))
 
@@ -179,15 +177,19 @@ class TestFiniteDifferenceOracle:
         assert fd_d1(L2, (3.0, 4.0, 0.0)) == pytest.approx(0.6, abs=1e-8)
 
     def test_l4_cross_check_single_point(self):
-        d1, d2 = d1_d2(L4.as_power_orlicz(), (1.0, 1.0, 1.0))
+        d1, d2 = d1_d2(L4, (1.0, 1.0, 1.0))
         assert fd_d1(L4, (1.0, 1.0, 1.0)) == pytest.approx(d1, rel=1e-6)
         assert fd_d2(L4, (1.0, 1.0, 1.0)) == pytest.approx(d2, rel=1e-4)
 
-    @pytest.mark.parametrize("spec,fn", [(L4, T4), (SMIX, MIX), (L2, T2)])
+    @pytest.mark.parametrize("spec,fn", [(L4, T4), (MIX, MIX), (L2, T2),
+                                         (parse_spec("euclidean:dim=3"), T2)])
     def test_analytic_vs_central_differences_500_points(self, spec, fn):
         rng = np.random.default_rng(21)
         pts = _random_points(rng, 500)
-        d1, d2, _ = d1_d2_norm_batch(fn, pts)
+        d1, d2, nrm = d1_d2_norm_batch(fn, pts)
+        # one M in any spelling: l_q and Euclidean match t^q bit for bit
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(d1_d2_norm_batch(spec, pts), (d1, d2, nrm)))
         for x, a1, a2 in zip(pts, d1, d2):
             f1 = fd_d1(spec, x)
             f2 = fd_d2(spec, x)

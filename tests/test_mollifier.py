@@ -52,8 +52,8 @@ LHS_BASELINE = {
 
 def nan_d2_at_phi_zero(real):
     """``d1_d2_norm_batch`` with d2 replaced by NaN on the phi = 0 rows."""
-    def patched(fn, pts):
-        d1, d2, nrm = real(fn, pts)
+    def patched(spec, pts):
+        d1, d2, nrm = real(spec, pts)
         return d1, np.where((pts[:, 1] == 1.0) & (pts[:, 2] == 0.0), np.nan, d2), nrm
     return patched
 

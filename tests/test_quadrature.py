@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levylab.quadrature import integrate, integrate_batch
+from levylab.quadrature import integrate_batch
 
 # (centre, width) of a Lorentzian peak per integral: the broad ones converge
 # on the seed panels, the narrow ones need more and more refinement rounds
@@ -23,8 +23,7 @@ def peaks_integrand(peaks):
 
 
 def alone(peak, **kwargs):
-    return integrate(lambda x: peaks_integrand([peak])(x, np.zeros(len(x), dtype=int)),
-                     0.0, 1.0, **kwargs)
+    return integrate_batch(peaks_integrand([peak]), 1, 0.0, 1.0, **kwargs)[0]
 
 
 def same(a, b) -> bool:
@@ -36,7 +35,7 @@ class TestRule:
     @pytest.mark.parametrize("degree", range(24))
     def test_k15_exact_on_one_panel_through_degree_23(self, degree):
         # 2 * 7 + 1 Kronrod nodes: exact through degree 3 * 7 + 2
-        res = integrate(lambda x: x ** degree, 0.0, 1.0, max_panels=1)
+        res = integrate_batch(lambda x, _o: x ** degree, 1, 0.0, 1.0, max_panels=1)[0]
         assert res.panels == 1
         assert res.value[0] == pytest.approx(1.0 / (degree + 1), rel=1e-14, abs=0.0)
 
@@ -44,12 +43,12 @@ class TestRule:
     def test_k15_not_exact_from_degree_24(self, degree):
         # on [-1, 1] the odd powers vanish by symmetry; the first even power
         # past the Kronrod degree leaves a gap far above rounding
-        res = integrate(lambda x: x ** degree, -1.0, 1.0, max_panels=1)
+        res = integrate_batch(lambda x, _o: x ** degree, 1, -1.0, 1.0, max_panels=1)[0]
         assert abs(res.value[0] - 2.0 / (degree + 1)) > 1e-9
 
     def test_inverse_square_root_with_breakpoints(self):
-        res = integrate(lambda x: x ** -0.5, 0.0, 1.0, rel_tol=1e-10,
-                        breakpoints=[2.0 ** -k for k in range(1, 40)])
+        res = integrate_batch(lambda x, _o: x ** -0.5, 1, 0.0, 1.0, rel_tol=1e-10,
+                              breakpoints=[2.0 ** -k for k in range(1, 40)])[0]
         assert res.converged
         assert abs(res.value[0] - 2.0) <= res.error
         assert res.error <= 1e-10 * 2.0
@@ -57,7 +56,7 @@ class TestRule:
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
     def test_empty_or_reversed_interval_rejected(self, a, b):
         with pytest.raises(ValueError, match="bad interval"):
-            integrate(lambda x: x, a, b)
+            integrate_batch(lambda x, _o: x, 1, a, b)
         with pytest.raises(ValueError, match="bad interval"):
             integrate_batch(lambda x, owner: x, 2, a, b)
 
