@@ -9,9 +9,9 @@ L_p, 0 < p <= 2, when its x1-sections satisfy three conditions:
 
 This module checks the three conditions on grids and produces a
 machine-readable verdict. The grid scan is numerical evidence, not proof;
-the analytic fast path :func:`check_orlicz_flatness` covers power-family
-Orlicz norms exactly (conditions I-III all follow from M'(0) = M''(0) = 0,
-i.e. every exponent above 2).
+the analytic fast path :func:`check_orlicz_flatness` decides Orlicz specs
+exactly from their terms (conditions I-III all follow from M'(0) = M''(0)
+= 0, i.e. every exponent above 2).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivatives import d1_d2_norm_batch
-from .norms import NormSpec, OrliczFunction, g17, subsphere_batch
+from .norms import NormSpec, g17, subsphere_batch
 
 APPLIES = "Applies"
 FAILS_I = "FailsConditionI"
@@ -89,19 +89,20 @@ class FlatnessResult:
     note: str
 
 
-def check_orlicz_flatness(fn: OrliczFunction) -> FlatnessResult:
-    """Analytic shortcut: M'(0) = M''(0) = 0 iff every exponent exceeds 2.
+def check_orlicz_flatness(spec: NormSpec) -> FlatnessResult:
+    """Analytic shortcut for the M of ``spec.terms``: M'(0) = M''(0) = 0 iff
+    every exponent exceeds 2.
 
     For power combinations this is exact, so a True result is proved for the
     family rather than sampled.
     """
     reasons = []
     # M'(0) = a of a t term; M''(0) diverges for q in (1, 2), else is 2a of a t^2 term
-    d1z = math.fsum(c for c, e in fn.terms if e == 1.0)
+    d1z = math.fsum(c for c, e in spec.terms if e == 1.0)
     if d1z != 0.0:
         reasons.append(f"M'(0) = {d1z:g}")
-    bad = [f"{c:g}*t^{e:g}" for c, e in fn.terms if 1.0 < e < 2.0]
-    d2z = math.fsum(2.0 * c for c, e in fn.terms if e == 2.0)
+    bad = [f"{c:g}*t^{e:g}" for c, e in spec.terms if 1.0 < e < 2.0]
+    d2z = math.fsum(2.0 * c for c, e in spec.terms if e == 2.0)
     if bad:
         reasons.append("M''(0) diverges (" + ", ".join(bad) + ")")
     elif d2z != 0.0:
@@ -130,7 +131,7 @@ def second_derivative_test(spec: NormSpec,
     """
     report = _grid_test(spec, theta_count)
     if spec.kind == "orlicz":
-        report.analytic_flatness = check_orlicz_flatness(spec.orlicz)
+        report.analytic_flatness = check_orlicz_flatness(spec)
     return report
 
 
@@ -143,12 +144,13 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
                else "the theorem is stated for 3-dimensional spaces")
         return _not_applicable(
             spec, f"requires dim = 3 (got dim = {spec.dim}); {why}", theta_count)
-    if spec.kind == "lq" and spec.q == math.inf:
+    q = spec.terms[0][1]                            # the least exponent of M
+    if q == math.inf:
         return _not_applicable(
             spec, "q = inf: max-norm sections are not twice differentiable", theta_count)
     if not spec.smooth_in_x1:
-        detail = (f"q = {spec.q:g} < 2" if spec.kind == "lq"
-                  else f"minimum Orlicz exponent {spec.terms[0][1]:g} < 2")
+        detail = (f"q = {q:g} < 2" if spec.kind == "lq"
+                  else f"minimum Orlicz exponent {q:g} < 2")
         return _not_applicable(
             spec, f"x1-sections are not C^2 off the plane x1 = 0 ({detail})", theta_count)
 

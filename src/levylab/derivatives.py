@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .norms import MAX_EXPONENT, NormSpec, OrliczError, norm_batch
+from .norms import NormSpec, check_exponent, norm_batch
 
 
 class DerivativeError(RuntimeError):
@@ -67,9 +67,7 @@ def d1_d2_norm_batch(spec: NormSpec, xs) -> tuple[np.ndarray, np.ndarray, np.nda
     the rest of the batch.
     """
     for _, exp in spec.terms:
-        if exp > MAX_EXPONENT:
-            raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
-                              "beyond double-precision powers")
+        check_exponent(exp)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != 3:
         raise ValueError(f"expected an (m, 3) array, got shape {xs.shape}")

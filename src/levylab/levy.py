@@ -507,8 +507,7 @@ def feasibility_csv(result: FeasibilityResult) -> str:
 
 def measure_csv(measure: SphericalMeasure) -> str:
     """CSV of atom coordinates and weights."""
-    dim = measure.directions.shape[1] if measure.size else 3
-    header = ",".join(f"xi_{k + 1}" for k in range(dim)) + ",weight"
+    header = ",".join(f"xi_{k + 1}" for k in range(measure.directions.shape[1])) + ",weight"
     rows = [header]
     for d, w in zip(measure.directions, measure.weights):
         rows.append(",".join(g17(c) for c in d) + f",{g17(w)}")

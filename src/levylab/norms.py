@@ -4,16 +4,17 @@ An Orlicz norm here is the Luxemburg-type functional: the unique s > 0 with
 sum_k M(|x_k| / s) = 1, where M is a convex power combination
 M(t) = sum_i a_i t^{q_i} with a_i >= 0 and 1 <= q_i <= MAX_EXPONENT,
 normalized so M(1) = 1 (which makes the standard basis vectors have unit
-norm). The l_q norm, 1 <= q < inf, is the case M(t) = t^q, and the
-Euclidean norm is l_2. ``norm_batch`` computes every finite norm by one
-route: it sums each term's powers of |x_k| / max_k |x_k| once, takes the
-q-th root of that sum for a single term, and otherwise finds
-tau = log(s / max_k |x_k|) by monotone Newton steps on the log of a sum of
-exponentials. The max-norm is the row maximum. Restricting M to power
-combinations keeps M' and M'' exact analytic expressions: the derivatives
-module sums them from ``NormSpec.terms``, the one form of M every finite
-norm carries, and refuses an exponent above MAX_EXPONENT there (an l_q spec
-takes any q >= 1; ``OrliczFunction`` refuses it when it is built).
+norm). Every spec stores its M as ``NormSpec.terms``: the l_q norm is the
+case M(t) = t^q (q = inf for the max-norm), and the Euclidean norm is l_2.
+``norm_batch`` computes every finite norm by one route: it sums each
+term's powers of |x_k| / max_k |x_k| once, takes the q-th root of that sum
+for a single term, and otherwise finds tau = log(s / max_k |x_k|) by
+monotone Newton steps on the log of a sum of exponentials. The max-norm is
+the row maximum. Restricting M to power combinations keeps M' and M''
+exact analytic expressions, which the derivatives module sums from the
+terms. ``check_exponent`` refuses an exponent above MAX_EXPONENT: an
+Orlicz spec's when it is built, any spec's when its derivatives are taken
+(an l_q norm takes any q >= 1).
 
 Spec strings use the grammar (also documented in the cli module):
 
@@ -55,6 +56,13 @@ class OrliczError(SpecError):
     """The Orlicz function fails a structural requirement."""
 
 
+def check_exponent(exp: float) -> None:
+    """Refuse an exponent of M above MAX_EXPONENT."""
+    if exp > MAX_EXPONENT:
+        raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
+                          "beyond double-precision powers")
+
+
 def _check_term(coef: float, exp: float) -> None:
     if not (math.isfinite(coef) and math.isfinite(exp)):
         raise OrliczError("coefficients and exponents must be finite")
@@ -62,34 +70,46 @@ def _check_term(coef: float, exp: float) -> None:
         raise OrliczError(f"negative coefficient {coef}")
     if exp < 1:
         raise OrliczError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
-    if exp > MAX_EXPONENT:
-        raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
-                          "beyond double-precision powers")
+    check_exponent(exp)
 
 
 @dataclass(frozen=True)
-class OrliczFunction:
-    """Power combination M(t) = sum_i a_i t^{q_i}, normalized to M(1) = 1.
+class NormSpec:
+    """A norm on R^dim: the Luxemburg norm of M(t) = sum_i a_i t^{q_i}.
 
-    ``terms`` holds (coefficient, exponent) pairs sorted by exponent.
+    ``terms`` holds the (a_i, q_i) pairs of M sorted by exponent: ((1, q),)
+    for l_q, with q = inf for the max-norm, and ((1, 2),) for the Euclidean
+    norm. ``kind`` ("lq", "orlicz" or "euclidean") only picks the label.
     """
 
+    kind: str
+    dim: int
     terms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        """The invariants: finite nonnegative coefficients, exponents in
-        [1, MAX_EXPONENT] (convex on [0, 1], exact in double precision),
-        and M(1) = 1."""
+        """An Orlicz spec's invariants: finite nonnegative coefficients,
+        exponents in [1, MAX_EXPONENT] (convex on [0, 1], exact in double
+        precision), and M(1) = 1. An l_q spec takes any q >= 1."""
+        if self.kind != "orlicz":
+            return
         if not self.terms:
             raise OrliczError("at least one term with a positive coefficient is required")
         for coef, exp in self.terms:
             _check_term(coef, exp)
         total = math.fsum(coef for coef, _ in self.terms)
         if not abs(total - 1.0) <= 1e-12:
-            raise OrliczError(f"M(1) = {total!r} != 1; construct via OrliczFunction.from_terms")
+            raise OrliczError(f"M(1) = {total!r} != 1; construct via NormSpec.orlicz_norm")
 
     @classmethod
-    def from_terms(cls, terms) -> "OrliczFunction":
+    def lq(cls, q: float, dim: int) -> "NormSpec":
+        q = float(q)
+        _check_dim(dim)
+        if math.isnan(q) or q < 1.0:
+            raise SpecError(f"q must be >= 1 (or inf), got {q}")
+        return cls(kind="lq", dim=int(dim), terms=((1.0, q),))
+
+    @classmethod
+    def orlicz_norm(cls, terms, dim: int) -> "NormSpec":
         """Merge duplicate exponents, drop zero coefficients, sort, and
         normalize M(1) = 1; the constructor checks the result."""
         merged: dict[float, float] = {}
@@ -108,47 +128,18 @@ class OrliczFunction:
             merged = {exp: coef / total for exp, coef in merged.items()}
         ordered = tuple(sorted(((coef, exp) for exp, coef in merged.items()),
                                key=lambda item: item[1]))
-        return cls(terms=ordered)
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A named norm on R^dim: l_q family, power-Orlicz family, or Euclidean."""
-
-    kind: str
-    dim: int
-    q: float | None = None
-    orlicz: OrliczFunction | None = None
-
-    @classmethod
-    def lq(cls, q: float, dim: int) -> "NormSpec":
-        q = float(q)
         _check_dim(dim)
-        if math.isnan(q) or q < 1.0:
-            raise SpecError(f"q must be >= 1 (or inf), got {q}")
-        return cls(kind="lq", dim=int(dim), q=q)
-
-    @classmethod
-    def orlicz_norm(cls, fn, dim: int) -> "NormSpec":
-        _check_dim(dim)
-        if not isinstance(fn, OrliczFunction):
-            fn = OrliczFunction.from_terms(fn)
-        return cls(kind="orlicz", dim=int(dim), orlicz=fn)
+        return cls(kind="orlicz", dim=int(dim), terms=ordered)
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormSpec":
         """l_2 under its own label."""
         _check_dim(dim)
-        return cls(kind="euclidean", dim=int(dim), q=2.0)
+        return cls(kind="euclidean", dim=int(dim), terms=((1.0, 2.0),))
 
     @property
     def label(self) -> str:
         return format_spec(self)
-
-    @property
-    def terms(self) -> tuple[tuple[float, float], ...]:
-        """The (coefficient, exponent) pairs of M, by exponent: ((1, q),) for l_q."""
-        return self.orlicz.terms if self.orlicz is not None else ((1.0, self.q),)
 
     @property
     def smooth_in_x1(self) -> bool:
@@ -175,7 +166,7 @@ def norm_batch(spec: NormSpec, xs) -> np.ndarray:
     peak = cols.max(axis=0)
     if not np.all(np.isfinite(peak)):
         raise ValueError("non-finite input vector")
-    if spec.q == math.inf:
+    if spec.terms[0][1] == math.inf:
         return peak
     return _luxemburg_batch(spec.terms, cols, peak)
 
@@ -275,8 +266,8 @@ def format_spec(spec: NormSpec) -> str:
     if spec.kind == "euclidean":
         return f"euclidean:dim={spec.dim}"
     if spec.kind == "lq":
-        return f"lq:q={_fmt_number(spec.q)}:dim={spec.dim}"
-    terms = "+".join(f"{_fmt_number(c)}*t^{_fmt_number(e)}" for c, e in spec.orlicz.terms)
+        return f"lq:q={_fmt_number(spec.terms[0][1])}:dim={spec.dim}"
+    terms = "+".join(f"{_fmt_number(c)}*t^{_fmt_number(e)}" for c, e in spec.terms)
     return f"orlicz:terms={terms}:dim={spec.dim}"
 
 
@@ -347,6 +338,5 @@ def parse_spec(text: str) -> NormSpec:
             exp = parse_float(raw_exp, cursor + len(raw_coef) + 3)
             terms.append((coef, exp))
             cursor += len(piece) + 1
-        fn = OrliczFunction.from_terms(terms)
-        return NormSpec.orlicz_norm(fn, parse_dim(raw_dim, off_dim))
+        return NormSpec.orlicz_norm(terms, parse_dim(raw_dim, off_dim))
     raise SpecParseError(f"unknown norm kind {kind!r} (expected lq, orlicz, or euclidean)", 0)

@@ -212,11 +212,11 @@ def fd_d2(spec, x, h: float | None = None) -> float:
     return float((plus - 2.0 * mid + minus) / (h * h))
 
 
-def orlicz_value(fn, t):
+def orlicz_value(spec, t):
     """M(t) = sum_i a_i t^{q_i} for nonnegative t (scalar or array), summed
-    term by term from ``fn.terms``."""
+    term by term from ``spec.terms``."""
     t = np.asarray(t, dtype=float)
-    out = sum(coef * t ** exp for coef, exp in fn.terms)
+    out = sum(coef * t ** exp for coef, exp in spec.terms)
     return float(out) if out.ndim == 0 else out
 
 

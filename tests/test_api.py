@@ -32,16 +32,3 @@ def test_every_public_name_has_a_caller_in_src():
             used.update(name for name in _referenced_names(node) if name != own)
     assert sorted(public - used - UNCALLED_ALLOWED) == []
 
-
-def test_orlicz_function_named_only_where_specs_are_built_and_checked():
-    # every other module reads M as NormSpec.terms, so the format of
-    # OrliczFunction stays behind norms (and the analytic flatness check)
-    naming = set()
-    for path in Path(levylab.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        names = _referenced_names(tree)
-        names += [alias.name for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) for alias in node.names]
-        if "OrliczFunction" in names:
-            naming.add(path.name)
-    assert naming == {"norms.py", "criterion.py", "__init__.py"}

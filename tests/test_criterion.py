@@ -5,7 +5,7 @@ import pytest
 
 from levylab import criterion as cr
 from levylab.derivatives import d1_d2_norm_batch
-from levylab.norms import NormSpec, OrliczFunction, parse_spec
+from levylab.norms import NormSpec, parse_spec
 
 # Criterion values at the default grid, frozen from the earlier six-batch grid
 # test (the Orlicz values from the Newton solve in log s of
@@ -155,25 +155,24 @@ class TestReportInvariants:
 
 class TestFlatnessShortcut:
     def test_quartic_eligible(self):
-        assert cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 4)])).eligible
+        assert cr.check_orlicz_flatness(NormSpec.orlicz_norm([(1, 4)], 3)).eligible
 
     def test_quadratic_rejected_with_reason(self):
-        res = cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 2)]))
+        res = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(1, 2)], 3))
         assert not res.eligible
         assert any("M''(0) = 2" in r for r in res.reasons)
 
     def test_fractional_exponents_above_two(self):
-        fn = OrliczFunction.from_terms([(0.9, 3.0), (0.1, 2.5)])
-        res = cr.check_orlicz_flatness(fn)
+        res = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(0.9, 3.0), (0.1, 2.5)], 3))
         assert res.eligible and res.note == "proved for power families"
 
     def test_linear_term_rejected(self):
-        res = cr.check_orlicz_flatness(OrliczFunction.from_terms([(0.5, 1), (0.5, 4)]))
+        res = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(0.5, 1), (0.5, 4)], 3))
         assert not res.eligible
         assert any("M'(0)" in r for r in res.reasons)
 
     def test_divergent_second_derivative_reported(self):
-        res = cr.check_orlicz_flatness(OrliczFunction.from_terms([(0.5, 1.5), (0.5, 4)]))
+        res = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(0.5, 1.5), (0.5, 4)], 3))
         assert not res.eligible
         assert any("diverges" in r for r in res.reasons)
 
@@ -183,14 +182,14 @@ class TestFlatnessShortcut:
         for _ in range(3):
             exps = np.sort(rng.uniform(2.2, 6.0, size=2))
             coefs = rng.uniform(0.2, 1.0, size=2)
-            fn = OrliczFunction.from_terms(list(zip(coefs, exps)))
-            assert cr.check_orlicz_flatness(fn).eligible
-            report = cr.second_derivative_test(NormSpec.orlicz_norm(fn, 3))
+            spec = NormSpec.orlicz_norm(list(zip(coefs, exps)), 3)
+            assert cr.check_orlicz_flatness(spec).eligible
+            report = cr.second_derivative_test(spec)
             assert report.verdict == cr.APPLIES
 
     def test_disagreement_reported_in_both_directions(self):
-        quadratic = cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 2)]))
-        flat = cr.check_orlicz_flatness(OrliczFunction.from_terms([(1, 4)]))
+        quadratic = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(1, 2)], 3))
+        flat = cr.check_orlicz_flatness(NormSpec.orlicz_norm([(1, 4)], 3))
         applies = cr.CriterionReport("x", cr.APPLIES, analytic_flatness=quadratic)
         assert "M''(0) = 2" in applies.disagreement
         assert "grid verdict is Applies" in cr.report_text(applies)

@@ -499,3 +499,6 @@ class TestSerialization:
         text = measure_csv(mu)
         assert text.splitlines()[0] == "xi_1,xi_2,xi_3,weight"
         assert len(text.splitlines()) == 4
+        # an empty measure keeps the header of its dimension
+        empty = SphericalMeasure(directions=np.empty((0, 2)), weights=np.empty(0))
+        assert measure_csv(empty) == "xi_1,xi_2,weight\n"

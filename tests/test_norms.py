@@ -10,7 +10,7 @@ from _reference import broadcast_luxemburg, luxemburg_norm, norm_at, orlicz_valu
 from levylab import norms
 from levylab.criterion import check_orlicz_flatness
 from levylab.derivatives import _power_derivatives
-from levylab.norms import (NormSpec, OrliczFunction, SpecError, SpecParseError,
+from levylab.norms import (NormSpec, SpecError, SpecParseError,
                            format_spec, norm_batch, parse_spec, subsphere_batch)
 
 L2 = NormSpec.lq(2, 3)
@@ -59,14 +59,14 @@ class TestEvalNorm:
 
     def test_invalid_orlicz_rejected_at_eval(self):
         with pytest.raises(SpecError, match="negative coefficient"):
-            broken = OrliczFunction(terms=((-0.5, 3.0), (1.5, 5.0)))
-            norm_at(NormSpec(kind="orlicz", dim=3, orlicz=broken), (1, 1, 1))
+            broken = NormSpec(kind="orlicz", dim=3, terms=((-0.5, 3.0), (1.5, 5.0)))
+            norm_at(broken, (1, 1, 1))
 
     def test_orlicz_defining_equation_residual(self):
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((500, 3))
         s = norm_batch(MIX, xs)
-        residual = np.abs(orlicz_value(MIX.orlicz, np.abs(xs) / s[:, None]).sum(axis=1) - 1.0)
+        residual = np.abs(orlicz_value(MIX, np.abs(xs) / s[:, None]).sum(axis=1) - 1.0)
         assert residual.max() <= 1e-12
 
 
@@ -169,7 +169,7 @@ class TestOrliczSolveOracle:
         assert np.array_equal(norm_batch(spec, xs), full)
 
     def test_zero_coefficient_matches_l4(self):
-        spec = NormSpec.orlicz_norm(OrliczFunction(terms=((0.0, 2.0), (1.0, 4.0))), 3)
+        spec = NormSpec(kind="orlicz", dim=3, terms=((0.0, 2.0), (1.0, 4.0)))
         xs = np.vstack([self.rows(3), np.random.default_rng(4).standard_normal((1000, 3))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -189,8 +189,8 @@ class TestOrliczSolveOracle:
             NormSpec.orlicz_norm(terms, 3)
         total = sum(a for a, _ in terms)
         with pytest.raises(SpecError, match="exceeds"):
-            built = OrliczFunction(terms=tuple((a / total, q) for a, q in terms))
-            norm_at(NormSpec(kind="orlicz", dim=3, orlicz=built), (1.0, 1.0, 1.0))
+            built = NormSpec(kind="orlicz", dim=3, terms=tuple((a / total, q) for a, q in terms))
+            norm_at(built, (1.0, 1.0, 1.0))
 
 
 class TestNormAxioms:
@@ -275,33 +275,33 @@ class TestValidateOrlicz:
     flatness at 0 is check_orlicz_flatness's decision."""
 
     def test_t4_all_pass(self):
-        fn = OrliczFunction.from_terms([(1.0, 4.0)])
-        assert orlicz_value(fn, 0.0) == 0.0 and orlicz_value(fn, 1.0) == 1.0
-        assert check_orlicz_flatness(fn).eligible
+        spec = NormSpec.orlicz_norm([(1.0, 4.0)], 3)
+        assert orlicz_value(spec, 0.0) == 0.0 and orlicz_value(spec, 1.0) == 1.0
+        assert check_orlicz_flatness(spec).eligible
 
     def test_t2_not_flat(self):
-        fn = OrliczFunction.from_terms([(1.0, 2.0)])
-        assert np.all(_power_derivatives(fn.terms, np.linspace(0.0, 4.0, 1024))[1] >= 0.0)
-        res = check_orlicz_flatness(fn)
+        spec = NormSpec.orlicz_norm([(1.0, 2.0)], 3)
+        assert np.all(_power_derivatives(spec.terms, np.linspace(0.0, 4.0, 1024))[1] >= 0.0)
+        res = check_orlicz_flatness(spec)
         assert not res.eligible
         assert res.reasons == ("M''(0) = 2",)   # the t^2 term: M''(0) = 2 * coefficient
 
     def test_mix_flat(self):
         # M'(0) = M''(0) = 0 by direct differentiation: exponents 3 and 5
-        res = check_orlicz_flatness(MIX.orlicz)
+        res = check_orlicz_flatness(MIX)
         assert res.eligible and res.reasons == ()
 
     def test_unnormalized_flagged(self):
         with pytest.raises(SpecError, match=r"M\(1\) = 0.5 != 1"):
-            OrliczFunction(terms=((0.5, 3.0),))  # bypasses from_terms
+            NormSpec(kind="orlicz", dim=3, terms=((0.5, 3.0),))  # bypasses orlicz_norm
 
     def test_constructor_rejects_bad_terms(self):
         with pytest.raises(SpecError):
-            OrliczFunction.from_terms([(-1.0, 3.0)])
+            NormSpec.orlicz_norm([(-1.0, 3.0)], 3)
         with pytest.raises(SpecError):
-            OrliczFunction.from_terms([(1.0, 0.5)])
+            NormSpec.orlicz_norm([(1.0, 0.5)], 3)
         with pytest.raises(SpecError):
-            OrliczFunction.from_terms([])
+            NormSpec.orlicz_norm([], 3)
 
     def test_normalization_rescales_and_records(self):
         eps = np.finfo(float).eps
@@ -309,15 +309,15 @@ class TestValidateOrlicz:
         # (dividing by the sums 1 + eps and 1 + 2 eps would move them)
         for terms in ([(0.5, 3.0), (0.5 + eps, 5.0)],
                       [(0.25, 2.0), (0.25, 3.0), (0.5 + 2 * eps, 5.0)]):
-            assert OrliczFunction.from_terms(terms).terms == tuple(terms)
+            assert NormSpec.orlicz_norm(terms, 3).terms == tuple(terms)
         # any other sum is divided out
-        fn = OrliczFunction.from_terms([(2.0, 3.0), (2.0, 5.0)])
-        assert fn.terms == ((0.5, 3.0), (0.5, 5.0))
-        assert orlicz_value(fn, 1.0) == pytest.approx(1.0, abs=1e-15)
+        spec = NormSpec.orlicz_norm([(2.0, 3.0), (2.0, 5.0)], 3)
+        assert spec.terms == ((0.5, 3.0), (0.5, 5.0))
+        assert orlicz_value(spec, 1.0) == pytest.approx(1.0, abs=1e-15)
         # duplicate exponents merge before the sum is taken
         for terms in ([(1.0, 3.0), (2.0, 5.0), (1.0, 3.0)],
                       [(0.25, 3.0), (0.5, 5.0), (0.25, 3.0)]):
-            assert OrliczFunction.from_terms(terms).terms == ((0.5, 3.0), (0.5, 5.0))
+            assert NormSpec.orlicz_norm(terms, 3).terms == ((0.5, 3.0), (0.5, 5.0))
 
 
 class TestSpecGrammar:
@@ -373,5 +373,5 @@ class TestSpecGrammar:
                   st.floats(1.0, 8.0, allow_nan=False)),
         min_size=1, max_size=4))
     def test_orlicz_round_trip_property(self, terms):
-        spec = NormSpec.orlicz_norm(OrliczFunction.from_terms(terms), 3)
+        spec = NormSpec.orlicz_norm(terms, 3)
         assert parse_spec(format_spec(spec)) == spec
