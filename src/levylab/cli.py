@@ -13,9 +13,9 @@ Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
 artifact with its sha256 and echoes the effective config. Every command
 writes its CSV and its structured text report. CSV uses '.' decimals, 17
 significant digits, and LF line endings, so a rerun with the same config
-is byte-identical. The spec, --levels and --p (0 < p <= 2) are checked
-first, so a bad value exits 2 with nothing written; the --out directory is
-created before any route runs.
+is byte-identical. The spec, --levels (sizes included), --p (0 < p <= 2)
+and --seed (nonnegative) are checked first, so a bad value exits 2 with
+nothing written; the --out directory is created before any route runs.
 --timings prints each route's wall time to stderr and changes no artifact.
 
 Flags: --spec --p --seed --theta-count --levels --trials --points --out
@@ -212,12 +212,16 @@ def run(config: RunConfig) -> int:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        parse_levels(config.levels)
+        levels = parse_levels(config.levels)
     except SpecError as exc:
         print(f"invalid levels: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if levels:
+            levy.check_level_sizes(levels)
         check_p(config.p)
+        if config.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {config.seed}")
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

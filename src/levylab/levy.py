@@ -38,8 +38,9 @@ NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below th
 PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's directions
 # Largest level: directions (a plateau probe's 4x included) and samples.
 # solve_nnls holds two n x n arrays for the n directions of each scan level,
-# and A is samples x n. The probe's A holds all of its directions (4096 for
-# the dim-3 default), but solve_nnls receives only the priced columns.
+# and A is samples x n. The probe never forms its whole A: solve_nnls
+# receives only the priced columns, and pricing forms the probe's columns in
+# PROBE_REFINEMENT blocks, each the size of the last level's A.
 MAX_LEVEL_SIZE = 8192
 
 FEASIBLE = "FeasibleEvidence"
@@ -191,11 +192,15 @@ def assemble_moment_system(spec: NormSpec, p: float, samples, directions):
     norms = norm_batch(spec, samples)
     if np.any(norms == 0.0):
         raise ValueError("samples must be nonzero")
+    return _moment_matrix(samples, directions, p), norms ** p
+
+
+def _moment_matrix(samples: np.ndarray, directions: np.ndarray, p: float) -> np.ndarray:
+    """A[i, j] = |<x_i, xi_j>|^p, built in place."""
     A = samples @ directions.T
     np.abs(A, out=A)
     A **= p
-    b = norms ** p
-    return A, b
+    return A
 
 
 def solve_nnls(A, b) -> NnlsSolution:
@@ -376,46 +381,59 @@ def _measure_from_solution(directions: np.ndarray, weights: np.ndarray) -> Spher
 
 def _nearest_columns(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Sorted indices of the PROBE_REFINEMENT directions nearest each atom,
-    by largest |<atom, xi>| (antipodes are identified). The atoms x
-    directions product is freed on return, before pricing allocates."""
+    by largest |<atom, xi>| (antipodes are identified)."""
     closeness = np.abs(atoms @ directions.T)
     nearest = np.argpartition(closeness, -PROBE_REFINEMENT, axis=1)
     return np.unique(nearest[:, -PROBE_REFINEMENT:])
 
 
-def _solve_priced(A: np.ndarray, b: np.ndarray, columns: np.ndarray):
-    """solve_nnls on A by column generation from ``columns``, sorted column
-    indices without repeats.
+def _solve_priced(samples: np.ndarray, directions: np.ndarray, p: float, b: np.ndarray,
+                  columns: np.ndarray):
+    """solve_nnls on the moment system A[i, j] = |<x_i, xi_j>|^p, A w = b, by
+    column generation from ``columns``, sorted column indices without repeats.
 
-    Each round solves the restricted system A[:, S] and prices every column
-    with one product w = A^T (b - A[:, S] x_S); the columns outside S with
-    w > NNLS_DUAL_TOL join S. The rounds end when none joins, which is the
-    dual test solve_nnls applies to all of A, or when a restricted solve did
-    not converge. Returns the solution (zero outside S, iterations summed
-    over the rounds) and the pair (rounds, final size of S).
+    Each round solves the restricted system, whose columns |<x, xi_S>|^p it
+    forms directly, and prices every column with w = A^T (b - A_S x_S),
+    forming A in PROBE_REFINEMENT blocks of directions, so no array larger
+    than one block is held; the columns outside S with w > NNLS_DUAL_TOL
+    join S. The rounds end when none joins, which is the dual test
+    solve_nnls applies to all of A, or when a restricted solve did not
+    converge. Returns the solution (zero outside S, iterations summed over
+    the rounds) and the pair (rounds, final size of S).
     """
-    x = np.zeros(A.shape[1])
+    x = np.zeros(len(directions))
     iterations = rounds = 0
     while True:
-        restricted = A[:, columns]
+        restricted = _moment_matrix(samples, directions[columns], p)
         sol = solve_nnls(restricted, b)
         iterations += sol.iterations
         rounds += 1
         if not sol.converged:
             break
-        w = A.T @ (b - restricted @ sol.weights)
+        resid = b - restricted @ sol.weights
+        del restricted                   # freed before the blocks allocate
+        w = np.concatenate([_moment_matrix(samples, block, p).T @ resid
+                            for block in np.array_split(directions, PROBE_REFINEMENT)])
         w[columns] = -np.inf
         entering = np.flatnonzero(w > NNLS_DUAL_TOL)
         if not entering.size:
             break
         columns = np.union1d(columns, entering)
-        # free this round's copy before the next gather, which is larger: a
-        # freed heap block it cannot reuse would add to the peak set by A
-        del restricted
     x[columns] = sol.weights
     return (NnlsSolution(weights=x, relative_residual=sol.relative_residual,
                          converged=sol.converged, iterations=iterations),
             (rounds, len(columns)))
+
+
+def check_level_sizes(levels) -> None:
+    """Refuse (directions, samples) levels whose directions, the plateau
+    probe's PROBE_REFINEMENT x the last level's included, or samples exceed
+    MAX_LEVEL_SIZE."""
+    largest = max(PROBE_REFINEMENT * levels[-1][0], *(max(d, s) for d, s in levels))
+    if largest > MAX_LEVEL_SIZE:
+        raise ValueError(f"levels need {largest} directions or samples (the plateau probe "
+                         f"takes {PROBE_REFINEMENT}x the last level's directions), "
+                         f"more than {MAX_LEVEL_SIZE}")
 
 
 def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> FeasibilityResult:
@@ -432,7 +450,8 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     The plateau probe is solved by pricing (``_solve_priced``) from the
     PROBE_REFINEMENT probe directions nearest each atom of the last level's
     solution (largest |<atom, xi>|): the same optimum as one solve over all
-    probe directions, while solve_nnls sees only a few of them.
+    probe directions, while solve_nnls sees only a few of them and no probe
+    array is larger than the last level's A.
     """
     check_p(p)
     if spec.dim not in DEFAULT_LEVELS:
@@ -443,17 +462,16 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     levels = [(int(d), int(s)) for d, s in levels]
     if not levels or any(d < 1 or s < 1 for d, s in levels):
         raise ValueError("levels must be a nonempty list of positive (directions, samples)")
-    largest = max(PROBE_REFINEMENT * levels[-1][0], *(max(d, s) for d, s in levels))
-    if largest > MAX_LEVEL_SIZE:
-        raise ValueError(f"levels need {largest} directions or samples (the plateau probe "
-                         f"takes {PROBE_REFINEMENT}x the last level's directions), "
-                         f"more than {MAX_LEVEL_SIZE}")
+    check_level_sizes(levels)
     rng = np.random.default_rng(seed)
     sample_sets = [sample_norm_sphere(spec, s, rng) for _, s in levels]
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]
 
-    solutions = [solve_nnls(*assemble_moment_system(spec, p, s, d))
-                 for d, s in zip(direction_sets, sample_sets)]
+    solutions = []
+    for d, s in zip(direction_sets, sample_sets):
+        A, b = assemble_moment_system(spec, p, s, d)
+        solutions.append(solve_nnls(A, b))
+    del A                                # the probe reuses only the last level's b
     level_rows = [FeasibilityLevel.from_solution(len(d), len(s), sol)
                   for d, s, sol in zip(direction_sets, sample_sets, solutions)]
     residuals = np.array([row.relative_residual for row in level_rows])
@@ -473,9 +491,9 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
             interpretation = FEASIBLE
         elif np.all(residuals > PLATEAU_RESIDUAL):
             probe_dirs = direction_grid(spec.dim, PROBE_REFINEMENT * levels[-1][0])
-            A, b = assemble_moment_system(spec, p, sample_sets[-1], probe_dirs)
             atoms = direction_sets[-1][solutions[-1].weights > 0.0]
-            probe_sol, pricing = _solve_priced(A, b, _nearest_columns(atoms, probe_dirs))
+            probe_sol, pricing = _solve_priced(sample_sets[-1], probe_dirs, p, b,
+                                               _nearest_columns(atoms, probe_dirs))
             probe_row = FeasibilityLevel.from_solution(len(probe_dirs), levels[-1][1],
                                                        probe_sol)
             if probe_sol.converged:

@@ -213,6 +213,21 @@ class TestLevyCommand:
             f"plateau probe takes 4x the last level's directions), more than {cap}"]
         assert not (tmp_path / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("flag, value, refusal", [
+        ("--levels", "64:128,4096:16",
+         "levels need 16384 directions or samples (the plateau probe takes 4x the last "
+         f"level's directions), more than {levy.MAX_LEVEL_SIZE}"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+    ])
+    def test_all_refuses_bad_value_before_any_route(self, tmp_path, capsys, flag, value,
+                                                     refusal):
+        out = tmp_path / "out"
+        code = run_cli(["all", "--spec", "lq:q=4:dim=3", "--p", "0.5", flag, value,
+                        "--timings", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {refusal}"]
+        assert not out.exists()
+
     def test_custom_levels(self, tmp_path):
         code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",
                         "--levels", "8:16,32:64", "--out", str(tmp_path)])

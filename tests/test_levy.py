@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,14 @@ def assert_matches_reference(A, b):
     assert mine.relative_residual == pytest.approx(r_ref / np.linalg.norm(b), abs=1e-12)
     np.testing.assert_allclose(mine.weights, w_ref, atol=1e-9)
     return mine
+
+
+def moment_inputs(seed, rows, cols):
+    """Seeded Gaussian samples and unit directions for a moment system."""
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((rows, 3))
+    directions = rng.standard_normal((cols, 3))
+    return samples, directions / np.linalg.norm(directions, axis=1)[:, None]
 
 
 def check_rank_deficient(monkeypatch, rows, extra, dual_tol):
@@ -351,13 +361,16 @@ class TestScan:
         # optimum while solve_nnls sees only part of the grid
         calls = []
 
-        def recording(A, b, columns):
-            calls.append((A, b, solve_priced(A, b, columns)))
-            return calls[-1][2]
+        def recording(samples, directions, p, b, columns):
+            calls.append((samples, directions, b,
+                          solve_priced(samples, directions, p, b, columns)))
+            return calls[-1][3]
 
         monkeypatch.setattr(levy, "_solve_priced", recording)
         res = feasibility_scan(spec, p, levels=levels, seed=7)
-        (A, b, (priced, (rounds, columns))), = calls
+        (samples, directions, b, (priced, (rounds, columns))), = calls
+        A, whole_b = assemble_moment_system(spec, p, samples, directions)
+        np.testing.assert_array_equal(b, whole_b)
         whole = solve_nnls(A, b)
         assert A.shape[1] == probe_size
         assert priced.converged and whole.converged
@@ -372,10 +385,13 @@ class TestScan:
             feasibility_report_text(res).splitlines()
 
     def test_pricing_from_an_empty_start(self):
-        rng = np.random.default_rng(4)
-        A, b = rng.standard_normal((90, 30)), rng.standard_normal(90)
-        priced, (rounds, columns) = solve_priced(A, b, np.zeros(0, dtype=np.intp))
-        whole = solve_nnls(A, b)
+        # b = |x_1| + |x_2| - ||x||_2 is negative near e_3, so the columns
+        # near e_3 price below zero and never join
+        samples, directions = moment_inputs(4, 90, 30)
+        b = np.abs(samples[:, :2]).sum(axis=1) - np.linalg.norm(samples, axis=1)
+        priced, (rounds, columns) = solve_priced(samples, directions, 1.0, b,
+                                                 np.zeros(0, dtype=np.intp))
+        whole = solve_nnls(levy._moment_matrix(samples, directions, 1.0), b)
         assert rounds > 1 and 0 < columns < 30
         assert priced.relative_residual == pytest.approx(
             whole.relative_residual, rel=1e-12, abs=0.0)
@@ -383,12 +399,26 @@ class TestScan:
 
     def test_pricing_stops_at_a_restricted_solve_that_did_not_converge(self, monkeypatch):
         monkeypatch.setattr(levy, "NNLS_ITER_FACTOR", 0.1)
-        rng = np.random.default_rng(5)
-        A = rng.random((30, 90))
-        priced, (rounds, columns) = solve_priced(A, rng.random(30), np.arange(10))
+        samples, directions = moment_inputs(5, 30, 90)
+        b = np.linalg.norm(samples, axis=1)
+        priced, (rounds, columns) = solve_priced(samples, directions, 1.0, b, np.arange(10))
         assert not priced.converged
         assert (rounds, columns) == (1, 10)
         assert np.all(priced.weights[10:] == 0.0)
+
+    def test_probe_never_holds_its_whole_matrix(self):
+        # the probe prices its 4096 columns in blocks of the last level's
+        # 1024, so the traced peak stays below the probe's own A
+        spec = parse_spec("orlicz:terms=0.5*t^3+0.5*t^5:dim=3")
+        probe_bytes = 2048 * levy.PROBE_REFINEMENT * 1024 * 8
+        tracemalloc.start()
+        try:
+            res = feasibility_scan(spec, 1.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.probe_pricing is not None
+        assert peak < probe_bytes
 
     def test_no_pricing_line_without_probe(self):
         res = feasibility_scan(NormSpec.lq(4, 2), 1.0, seed=7)
