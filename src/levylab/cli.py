@@ -13,9 +13,10 @@ Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
 artifact with its sha256 and echoes the effective config. Every command
 writes its CSV and its structured text report. CSV uses '.' decimals, 17
 significant digits, and LF line endings, so a rerun with the same config
-is byte-identical. The spec, --levels (sizes included), --p (0 < p <= 2)
-and --seed (nonnegative) are checked first, so a bad value exits 2 with
-nothing written; the --out directory is created before any route runs.
+is byte-identical. The spec, --levels (sizes included), --theta-count,
+--points, --trials, --p (0 < p <= 2) and --seed (nonnegative) are checked
+first, whatever the command, so a bad value exits 2 with nothing written;
+the --out directory is created before any route runs.
 --timings prints each route's wall time to stderr and changes no artifact.
 
 Flags: --spec --p --seed --theta-count --levels --trials --points --out
@@ -219,6 +220,8 @@ def run(config: RunConfig) -> int:
     try:
         if levels:
             levy.check_level_sizes(levels)
+        crit.check_theta_count(config.theta_count)
+        posdef.check_search_size(config.points, config.trials)
         check_p(config.p)
         if config.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {config.seed}")

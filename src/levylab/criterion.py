@@ -135,9 +135,14 @@ def second_derivative_test(spec: NormSpec,
     return report
 
 
-def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
+def check_theta_count(theta_count: int) -> None:
+    """Refuse theta grids outside [8, MAX_THETA_COUNT]."""
     if not 8 <= theta_count <= MAX_THETA_COUNT:
         raise ValueError(f"theta_count must lie in [8, {MAX_THETA_COUNT}], got {theta_count}")
+
+
+def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
+    check_theta_count(theta_count)
     if spec.dim != 3:
         why = ("the test is vacuous in dim 2, where every normed plane embeds "
                "isometrically in L_p for p <= 1" if spec.dim == 2

@@ -134,6 +134,21 @@ def unscreened(kernels: np.ndarray, best: float) -> list[int]:
         half + i for i in unscreened(kernels[half:], best)]
 
 
+def check_search_size(n_points: int, trials: int) -> None:
+    """Refuse clouds of fewer than 3 points or too many pairs for one search
+    block, and fewer than 1 trial."""
+    if n_points < 3:
+        raise ValueError("n_points must be at least 3")
+    pairs = n_points * (n_points - 1) // 2
+    if pairs > SEARCH_BLOCK_ROWS:
+        largest = (1 + math.isqrt(1 + 8 * SEARCH_BLOCK_ROWS)) // 2
+        raise ValueError(f"n_points must be at most {largest}: {n_points} points make "
+                         f"{pairs} pairs, more than one search block of "
+                         f"{SEARCH_BLOCK_ROWS} rows")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def witness_search(spec: NormSpec, p: float, n_points: int = 20,
                    trials: int = DEFAULT_TRIALS, seed: int = 0) -> PsdWitness:
     """Search seeded Gaussian clouds (over the scale sweep) for the most
@@ -154,16 +169,8 @@ def witness_search(spec: NormSpec, p: float, n_points: int = 20,
     Identical inputs reproduce the identical witness.
     """
     check_p(p)
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
+    check_search_size(n_points, trials)
     pairs = n_points * (n_points - 1) // 2
-    if pairs > SEARCH_BLOCK_ROWS:
-        largest = (1 + math.isqrt(1 + 8 * SEARCH_BLOCK_ROWS)) // 2
-        raise ValueError(f"n_points must be at most {largest}: {n_points} points make "
-                         f"{pairs} pairs, more than one search block of "
-                         f"{SEARCH_BLOCK_ROWS} rows")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     chunks = min(SEARCH_CHUNKS, trials)
     sizes = [trials // chunks + (1 if c < trials % chunks else 0) for c in range(chunks)]
     block = SEARCH_BLOCK_ROWS // pairs

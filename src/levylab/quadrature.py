@@ -7,12 +7,15 @@ numpy. The error estimate per panel is the difference between the embedded
 deliberate overestimate of the Kronrod error, which keeps the reported
 a-posteriori bound conservative.
 
-``integrate_batch`` advances many independent integrals in the same rounds:
-one integrand call serves the new panels of every integral still open, and
-each integral keeps its own panels, decisions and sums, so it comes out
-bit-identical to running it alone (a count of 1 is the one-integral case).
-The mollified pairing batches its theta-integrals across the phi of one
-refinement level this way.
+``integrate_batch`` advances many independent integrals in the same rounds
+(a count of 1 is the one-integral case). All their panels live in one table
+of flat arrays tagged by owner, and each round's decisions are array
+operations over owners. A round keeps the unsplit panels in table order and
+appends the left halves, then the right halves, of the split ones, so an
+integral's rows, in table order, are its survivors, then its left halves,
+then its right halves: its decisions and sums read only those rows in that
+order, and it comes out bit-identical to running it alone. The mollified
+pairing batches its theta-integrals across the phi of one refinement level.
 """
 
 from __future__ import annotations
@@ -110,80 +113,68 @@ def integrate_batch(f, count: int, a: float, b: float, rel_tol: float = 1e-8,
 
     ``f(x, owner)`` maps the flat abscissae of every panel being evaluated,
     (N,), and the index of the integral each belongs to, (N,) ints, to (N,)
-    or (N, k) values. Each integral keeps its own panels and makes its own
-    decisions: it stops once its summed error estimate is within ``rel_tol``
-    times the summed |component totals|, or at ``max_panels`` panels, or
-    after MAX_ROUNDS refinements; otherwise the worst quarter of its panels
-    (ignoring those already at noise level) is bisected. Every round
-    evaluates the new panels of all integrals still open in one call of
-    ``f``. Each integral's sums run over its own panels in its own order, so
-    as long as ``f`` treats rows independently, every result is bit-identical
-    to running that integral alone. ``breakpoints`` seed the initial
-    subdivision (endpoint singularities, known feature scales).
+    or (N, k) values; one call per round serves the new panels of every
+    integral still open. An integral stops once its summed error estimate is
+    within ``rel_tol`` times the summed |component totals|, or at
+    ``max_panels`` panels, or after MAX_ROUNDS refinements, or once a round
+    bisects none of its panels; otherwise the worst quarter of its panels
+    (ignoring those already at noise level) is bisected. The panel table
+    (``owner``, ``lo``, ``hi``, ``kron``, ``err``) keeps each integral's rows
+    in the order described in the module docstring, so as long as ``f``
+    treats rows independently, every result is bit-identical to running that
+    integral alone. ``breakpoints`` seed the initial subdivision (endpoint
+    singularities, known feature scales).
     """
     if not b > a:
         raise ValueError(f"bad interval [{a}, {b}]")
     pts = [a, b] if breakpoints is None else sorted({a, b, *[
         float(t) for t in breakpoints if a < float(t) < b]})
-    seed_lo = np.array(pts[:-1])
-    seed_hi = np.array(pts[1:])
 
-    def evaluate(owners, counts, lo_arr, hi_arr):
-        """(kron, err) slices per owner, in ``owners`` order."""
-        xs = panel_nodes(lo_arr, hi_arr)
-        vals = np.asarray(f(xs.ravel(), np.repeat(owners, np.multiply(counts, PANEL_NODES))),
+    def evaluate(owner, lo, hi):
+        """Per-panel (kron, err) of the panels (lo, hi) of integrals ``owner``."""
+        vals = np.asarray(f(panel_nodes(lo, hi).ravel(), np.repeat(owner, PANEL_NODES)),
                           dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        vals = vals.reshape(len(lo_arr), PANEL_NODES, -1)
-        kron, err = panel_sums(vals, lo_arr, hi_arr)
-        ends = np.cumsum(counts).tolist()
-        return [(kron[e - c:e], err[e - c:e]) for c, e in zip(counts, ends)]
+        return panel_sums(vals.reshape(len(lo), PANEL_NODES, -1), lo, hi)
 
-    lo = [seed_lo] * count
-    hi = [seed_hi] * count
-    seeded = evaluate(range(count), [len(seed_lo)] * count,
-                      np.tile(seed_lo, count), np.tile(seed_hi, count))
-    kron = [k for k, _ in seeded]
-    err = [e for _, e in seeded]
-    active = list(range(count))
+    owner = np.repeat(np.arange(count), len(pts) - 1)
+    lo = np.tile(pts[:-1], count)
+    hi = np.tile(pts[1:], count)
+    kron, err = evaluate(owner, lo, hi)
+    is_open = np.ones(count, dtype=bool)
     for _ in range(MAX_ROUNDS):
-        refined, new_lo, new_hi = [], [], []
-        for i in active:
-            total = kron[i].sum(axis=0)
-            target = rel_tol * float(np.abs(total).sum())
-            total_err = float(err[i].sum())
-            if total_err <= target or len(lo[i]) >= max_panels:
-                continue
-            n_split = max(1, len(lo[i]) // 4)
-            order = np.argsort(-err[i], kind="stable")
-            split = np.zeros(len(lo[i]), dtype=bool)
-            split[order[:n_split]] = True
-            # leave panels already at noise level alone
-            split &= err[i] > 1e-3 * target / max(1, len(lo[i]))
-            if not np.any(split):
-                continue
-            mid = 0.5 * (lo[i][split] + hi[i][split])
-            new_lo.append(np.concatenate([lo[i][split], mid]))
-            new_hi.append(np.concatenate([mid, hi[i][split]]))
-            lo[i] = np.concatenate([lo[i][~split], new_lo[-1]])
-            hi[i] = np.concatenate([hi[i][~split], new_hi[-1]])
-            kron[i], err[i] = kron[i][~split], err[i][~split]
-            refined.append(i)
-        if not refined:
+        panels = np.bincount(owner, minlength=count)
+        total = np.zeros((count, kron.shape[1]))
+        np.add.at(total, owner, kron)
+        target = rel_tol * np.abs(total).sum(axis=1)
+        # written so that a NaN error sum never counts as converged
+        is_open &= ~(np.bincount(owner, err, count) <= target) & (panels < max_panels)
+        # rank of each panel's error within its integral, worst first
+        order = np.lexsort((-err, owner))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rank -= (np.cumsum(panels) - panels)[owner]
+        # leave panels already at noise level alone
+        split = (is_open[owner] & (rank < np.maximum(1, panels // 4)[owner])
+                 & (err > (1e-3 * target / panels)[owner]))
+        is_open &= np.bincount(owner[split], minlength=count) > 0
+        if not is_open.any():
             break
-        added = evaluate(refined, [len(x) for x in new_lo],
-                         np.concatenate(new_lo), np.concatenate(new_hi))
-        for i, (add_kron, add_err) in zip(refined, added):
-            kron[i] = np.concatenate([kron[i], add_kron])
-            err[i] = np.concatenate([err[i], add_err])
-        active = refined
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.tile(owner[split], 2), np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        owner, lo, hi, kron, err = (np.concatenate([rows[~split], added]) for rows, added in
+                                    zip((owner, lo, hi, kron, err), halves + evaluate(*halves)))
 
+    # each integral's rows, still in table order
+    by_owner = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner, minlength=count))[:-1]
     results = []
-    for i in range(count):
-        total = kron[i].sum(axis=0)
-        total_err = float(err[i].sum())
+    for kron_i, err_i in zip(np.split(kron[by_owner], ends), np.split(err[by_owner], ends)):
+        total = kron_i.sum(axis=0)
+        total_err = float(err_i.sum())
         target = rel_tol * float(np.abs(total).sum())
-        results.append(QuadResult(value=total, error=total_err, panels=len(lo[i]),
+        results.append(QuadResult(value=total, error=total_err, panels=len(err_i),
                                   converged=total_err <= target))
     return results

@@ -9,7 +9,8 @@ the Euclidean norm, scipy's own special functions and NNLS, scipy's
 brentq on the Luxemburg equation of an Orlicz norm, the Orlicz Newton solve
 on a broadcast (rows, coordinates, terms) layout, the witness search as a
 plain serial loop (full m x m distance matrices, one eigenproblem per
-scale, a full recompute per refinement step), central differences of the
+scale, a full recompute per refinement step), one adaptive Gauss-Kronrod
+integral refined on its own panel arrays, central differences of the
 norm for its x1-partials (they see only ``norm_batch``, never the analytic
 formulas), and M(t) summed term by term from its (coefficient, exponent)
 terms.
@@ -27,7 +28,8 @@ from levylab.norms import ORLICZ_MAX_ITER, norm_batch
 from levylab.posdef import (DEFAULT_TRIALS, REFINE_STEP_FRACTION, REFINE_STEPS,
                             SCALE_SWEEP, SEARCH_CHUNKS, PsdWitness, kernel_matrix,
                             min_eigenvalue)
-from levylab.quadrature import PANEL_NODES, integrate_batch, panel_nodes, panel_sums
+from levylab.quadrature import (MAX_ROUNDS, PANEL_NODES, QuadResult, integrate_batch,
+                                panel_nodes, panel_sums)
 
 
 def fourier_constant_reference(p: float) -> float:
@@ -66,6 +68,40 @@ class Mollifier:
                               breakpoints=[delta + (top - delta) * k / 8
                                            for k in range(1, 8)])[0]
         return 2.0 * float(res.value.sum())
+
+
+def lone_adaptive_integral(f, a: float, b: float, rel_tol: float, breakpoints=(),
+                           max_panels: int = 4096) -> QuadResult:
+    """``integrate_batch`` for one integral ``f(x)``, its decisions taken on
+    its own panel arrays: the same stop test, the worst quarter by a stable
+    argsort, the same noise filter, and survivors, then left halves, then
+    right halves in panel order."""
+    pts = sorted({a, b, *[t for t in breakpoints if a < t < b]})
+    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
+
+    def sums(lo, hi):
+        vals = np.asarray(f(panel_nodes(lo, hi).ravel()), dtype=float)
+        return panel_sums(vals.reshape(len(lo), PANEL_NODES, -1), lo, hi)
+
+    kron, err = sums(lo, hi)
+    for _ in range(MAX_ROUNDS):
+        target = rel_tol * float(np.abs(kron.sum(axis=0)).sum())
+        if float(err.sum()) <= target or len(lo) >= max_panels:
+            break
+        split = np.zeros(len(lo), dtype=bool)
+        split[np.argsort(-err, kind="stable")[:max(1, len(lo) // 4)]] = True
+        split &= err > 1e-3 * target / len(lo)
+        if not split.any():
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_kron, new_err = sums(new_lo, new_hi)
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        kron = np.concatenate([kron[~split], new_kron])
+        err = np.concatenate([err[~split], new_err])
+    total, total_err = kron.sum(axis=0), float(err.sum())
+    return QuadResult(value=total, error=total_err, panels=len(lo),
+                      converged=total_err <= rel_tol * float(np.abs(total).sum()))
 
 
 def _lq_slice(q: float, s, cphi: float, sphi: float):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import levylab
 
-# No caller in src yet: ROADMAP item 3 wires the pairing contradiction into `all`.
+# No caller in src yet: the pairing contradiction is still to be wired into `all`.
 UNCALLED_ALLOWED = {"contradiction_report", "ContradictionReport"}
 
 

@@ -218,6 +218,11 @@ class TestLevyCommand:
          "levels need 16384 directions or samples (the plateau probe takes 4x the last "
          f"level's directions), more than {levy.MAX_LEVEL_SIZE}"),
         ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--trials", "0", "trials must be at least 1"),
+        ("--points", "2", "n_points must be at least 3"),
+        ("--points", "182", "n_points must be at most 181: 182 points make 16471 pairs, "
+         "more than one search block of 16384 rows"),
+        ("--theta-count", "4", f"theta_count must lie in [8, {crit.MAX_THETA_COUNT}], got 4"),
     ])
     def test_all_refuses_bad_value_before_any_route(self, tmp_path, capsys, flag, value,
                                                      refusal):

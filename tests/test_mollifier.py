@@ -217,6 +217,20 @@ class TestLhsIntegral:
         assert (res.value, res.error, res.term_first, res.term_second,
                 res.phi_count, res.panels) == LHS_BASELINE[(spec, n)]
 
+    def test_demo_sweep_batches_each_round_into_one_derivative_call(self, monkeypatch):
+        # one call per quadrature round of each phi level, over every phi of
+        # the level: the l4 sweep makes 39 calls over 141,840 rows
+        real = mollifier.d1_d2_norm_batch
+        rows = []
+
+        def counting(spec, pts):
+            rows.append(len(pts))
+            return real(spec, pts)
+
+        monkeypatch.setattr(mollifier, "d1_d2_norm_batch", counting)
+        mollifier.demo_run(L4, 0.5)
+        assert (len(rows), sum(rows)) == (39, 141_840)
+
     def test_non_finite_integrand_raises_at_the_first_level(self, monkeypatch):
         monkeypatch.setattr(mollifier, "d1_d2_norm_batch",
                             nan_d2_at_phi_zero(mollifier.d1_d2_norm_batch))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _reference import lone_adaptive_integral
 
 from levylab.quadrature import integrate_batch
 
@@ -91,6 +92,16 @@ class TestBatch:
         assert batch[0].converged
         assert not batch[-1].converged
         assert batch[-1].panels >= 12
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rel_tol=1e-9), dict(rel_tol=1e-9, max_panels=12),
+        dict(rel_tol=1e-12, breakpoints=[0.25, 0.5, 0.75])])
+    def test_table_matches_one_integral_refined_on_its_own_arrays(self, kwargs):
+        batch = integrate_batch(peaks_integrand(PEAKS), len(PEAKS), 0.0, 1.0, **kwargs)
+        for i, res in enumerate(batch):
+            lone = peaks_integrand([PEAKS[i]])
+            assert same(res, lone_adaptive_integral(
+                lambda x: lone(x, np.zeros(len(x), dtype=int)), 0.0, 1.0, **kwargs))
 
     def test_permuting_the_batch_changes_no_result(self):
         f = peaks_integrand(PEAKS)
