@@ -36,9 +36,16 @@ NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
 NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
 PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's directions
+# A level after the first is solved by block pivoting, started from the
+# directions nearest the coarser level's atoms, when the coarser level
+# predicts more atoms than this (its atom fraction times this level's
+# directions); other levels, and systems solved directly, use Lawson-Hanson.
+PIVOTING_MIN_ATOMS = 256
 # Largest level: directions (a plateau probe's 4x included) and samples.
-# solve_nnls holds two n x n arrays for the n directions of each scan level,
-# and A is samples x n. The probe never forms its whole A: solve_nnls
+# solve_nnls holds the n x n Gram for the n directions of each scan level,
+# plus the n x n factor W of Lawson-Hanson or, when it pivots, a gathered
+# k x k block of k passive columns and LAPACK's copy of it; A is samples x n.
+# The probe never forms its whole A: solve_nnls
 # receives only the priced columns, and pricing forms the probe's columns in
 # PROBE_REFINEMENT blocks, each the size of the last level's A.
 MAX_LEVEL_SIZE = 8192
@@ -96,6 +103,8 @@ class FeasibilityLevel:
     direction_count: int
     sample_count: int
     relative_residual: float
+    pivoting: int
+    handover: int
     iterations: int
     active: int
     converged: bool
@@ -104,8 +113,8 @@ class FeasibilityLevel:
     def from_solution(cls, direction_count: int, sample_count: int,
                       sol: NnlsSolution) -> FeasibilityLevel:
         return cls(direction_count, sample_count, sol.relative_residual,
-                   sol.iterations, int(np.count_nonzero(sol.weights > 0.0)),
-                   sol.converged)
+                   sol.pivoting, sol.handover, sol.iterations,
+                   int(np.count_nonzero(sol.weights > 0.0)), sol.converged)
 
 
 @dataclass
@@ -114,6 +123,8 @@ class NnlsSolution:
     relative_residual: float
     converged: bool
     iterations: int
+    pivoting: int = 0                    # solves of a block-pivoting result
+    handover: int = 0                    # pivoting solves before a Lawson-Hanson handover
 
 
 @dataclass
@@ -203,17 +214,141 @@ def _moment_matrix(samples: np.ndarray, directions: np.ndarray, p: float) -> np.
     return A
 
 
-def solve_nnls(A, b) -> NnlsSolution:
-    """Minimize ||A w - b||_2 subject to w >= 0, Lawson-Hanson active set.
+def solve_nnls(A, b, start=None) -> NnlsSolution:
+    """Minimize ||A w - b||_2 subject to w >= 0.
 
-    Each passive-set subproblem G_PP z = (A^T b)_P, with G = A^T A, is solved
-    through a factor W of the inverse, W W^T = G_PP^{-1} (the columns of W
-    are G_PP-orthonormal), which is updated as the passive set changes
-    instead of being rebuilt: an entering column appends one Gram-Schmidt
-    column to W (two matvecs), and a leaving column is swapped to the last
-    row and eliminated by one Householder reflection of W's columns. Both
-    updates cost O(k^2) for k passive columns, and no k x k block is copied
-    or refactorized. Every passive solution is one step from the current
+    All of G = A^T A is formed in one symmetric BLAS-3 product, wide systems
+    included, and the system is solved by Lawson-Hanson (``_lawson_hanson``)
+    or, given ``start``, column indices expected to be passive at the
+    optimum, by block principal pivoting from them (``_block_pivoting``).
+    When pivoting fails, Lawson-Hanson solves the system as if no start had
+    been given, and ``handover`` records the pivoting solves spent. A
+    pivoting result has ``pivoting`` solves (0 for Lawson-Hanson) and counts
+    passive-set changes as ``iterations``. The reported residual is
+    evaluated directly from A x - b, so it is not limited by the squared
+    conditioning of the normal equations.
+
+    Deterministic for fixed input. Hitting the Lawson-Hanson iteration cap
+    (NNLS_ITER_FACTOR * columns) returns ``converged = False`` rather than
+    raising, so callers can surface an inconclusive verdict.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    if A.ndim != 2 or A.shape[0] != len(b):
+        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite entries in the system")
+    n = A.shape[1]
+    b_norm = float(np.linalg.norm(b))
+
+    atb = A.T @ b
+    gram = np.empty((n, n), order="F")
+    np.matmul(A.T, A, out=gram.T)        # symmetric, so gram holds G as well
+    x, pivoting, handover, converged = None, 0, 0, True
+    if start is not None:
+        x, solves, iterations = _block_pivoting(gram, atb, start)
+        if x is None:
+            handover = solves
+        else:
+            pivoting = solves
+    if x is None:
+        x, iterations, converged = _lawson_hanson(gram, atb)
+    resid = b - A @ x
+    rel = float(np.linalg.norm(resid) / b_norm) if b_norm > 0.0 else 0.0
+    return NnlsSolution(weights=x, relative_residual=rel, converged=converged,
+                        iterations=iterations, pivoting=pivoting, handover=handover)
+
+
+def _block_pivoting(gram: np.ndarray, atb: np.ndarray, start):
+    """Block principal pivoting for min ||A w - b||, w >= 0, on G = A^T A
+    and A^T b (Portugal, Judice & Vicente 1994; Kim & Park 2011).
+
+    From the passive set F = ``start``, each round solves G_FF x_F =
+    (A^T b)_F (x = 0 outside F), forms the dual w = A^T b - G x over all
+    columns and flips every infeasible index: those in F with x <= 0 leave,
+    those outside F with w > NNLS_DUAL_TOL enter. The rounds end when no
+    index is infeasible, which is the Lawson-Hanson optimality test. A round
+    holds the gathered k x k block G_FF and LAPACK's copy of it.
+
+    Returns (x, solves, changes), where changes counts the start's columns
+    plus every flipped column. x is None, and the system belongs to
+    Lawson-Hanson, when a solve is singular, when three exchanges in a row
+    leave the infeasible set no smaller than its smallest size so far, when
+    the final normal equations hold to no better than 1e-13 relative, or
+    when a Cholesky pivot of the final G_FF is not above NNLS_DEPENDENT_TOL
+    times its diagonal entry (Lawson-Hanson's dependence test). For that
+    factorization ``gram`` is permuted in place so that F leads; it is
+    restored exactly when the system goes to Lawson-Hanson.
+    """
+    n = len(atb)
+    passive = np.zeros(n, dtype=bool)
+    passive[start] = True
+    changes = int(np.count_nonzero(passive))
+    solves = misses = 0
+    fewest = n + 1                       # smallest infeasible set so far
+    while True:
+        idx = np.flatnonzero(passive)
+        x = np.zeros(n)
+        solves += 1
+        try:
+            x[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], atb[idx])
+        except np.linalg.LinAlgError:
+            return None, solves, changes
+        w = atb - gram @ x
+        flip = np.where(passive, x <= 0.0, w > NNLS_DUAL_TOL)
+        count = int(np.count_nonzero(flip))
+        if not count:
+            break
+        if count < fewest:
+            fewest, misses = count, 0
+        else:
+            misses += 1
+            if misses == 3:
+                return None, solves, changes
+        passive ^= flip
+        changes += count
+    if not np.linalg.norm(w[idx]) <= 1e-13 * np.linalg.norm(atb[idx]):
+        return None, solves, changes
+    # permute G in place so that F leads and G_FF is a view: the
+    # factorization then holds only LAPACK's copy and the factor
+    k = len(idx)
+    order = np.concatenate([idx, np.flatnonzero(~passive)])
+    _permute_in_place(gram, order)
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram[:k, :k])) ** 2
+        independent = bool(np.all(pivots > NNLS_DEPENDENT_TOL * np.diagonal(gram)[:k]))
+    except np.linalg.LinAlgError:
+        independent = False
+    if not independent:
+        _permute_in_place(gram, np.argsort(order))   # G restored exactly for Lawson-Hanson
+        return None, solves, changes
+    return x, solves, changes
+
+
+def _permute_in_place(gram: np.ndarray, order: np.ndarray) -> None:
+    """gram[...] = gram[np.ix_(order, order)] with no n x n temporary: rows
+    are permuted in column strips and columns in row strips, each strip of
+    about 2^15 entries."""
+    n = len(order)
+    step = max(1, (1 << 15) // n)
+    for lo in range(0, n, step):
+        gram[:, lo:lo + step] = gram[order, lo:lo + step]
+    for lo in range(0, n, step):
+        gram[lo:lo + step] = gram[lo:lo + step, order]
+
+
+def _lawson_hanson(gram: np.ndarray, atb: np.ndarray):
+    """Lawson-Hanson active set on G = A^T A (F-ordered) and A^T b; returns
+    (x, iterations, converged).
+
+    Each passive-set subproblem G_PP z = (A^T b)_P is solved through a factor
+    W of the inverse, W W^T = G_PP^{-1} (the columns of W are
+    G_PP-orthonormal), which is updated as the passive set changes instead
+    of being rebuilt: an entering column appends one Gram-Schmidt column to
+    W (two matvecs), and a leaving column is swapped to the last row and
+    eliminated by one Householder reflection of W's columns. Both updates
+    cost O(k^2) for k passive columns, and no k x k block is copied or
+    refactorized. Every passive solution is one step from the current
     feasible x along the dual w = A^T b - G x at x: z = x_P + W W^T w_P.
     When column j enters, w is the outer dual, already computed over all
     columns to choose j, and w_P is at the rounding floor, so only the new
@@ -226,31 +361,14 @@ def solve_nnls(A, b) -> NnlsSolution:
     numerically in the span of the passive columns; it is passed over and the
     next-largest dual enters instead.
 
-    All of G = A^T A is formed in one symmetric BLAS-3 product, wide systems
-    included; its columns are kept column-major in entry order, and a column
-    that enters is moved into place by a column swap. The reported residual
-    is evaluated directly from A x - b, so it is not limited by the squared
-    conditioning of the normal equations.
-
-    Deterministic for fixed input: the entering column is always the first
-    index attaining the largest dual value above NNLS_DUAL_TOL. Hitting the
-    iteration cap (NNLS_ITER_FACTOR * columns) returns ``converged = False``
-    rather than raising, so callers can surface an inconclusive verdict.
+    G's columns are kept column-major in entry order, and a column that
+    enters is moved into place by a column swap. The entering column is
+    always the first index attaining the largest dual value above
+    NNLS_DUAL_TOL. The iteration cap is NNLS_ITER_FACTOR * columns.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    if A.ndim != 2 or A.shape[0] != len(b):
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite entries in the system")
-    n = A.shape[1]
+    n = len(atb)
     max_iter = NNLS_ITER_FACTOR * n
-    b_norm = float(np.linalg.norm(b))
-
-    atb = A.T @ b
-    gram = np.empty((n, n), order="F")   # gram[:, s] = G[:, stored[s]]
-    np.matmul(A.T, A, out=gram.T)        # symmetric, so gram holds G as well
-    stored = np.arange(n)
+    stored = np.arange(n)                # gram[:, s] = G[:, stored[s]]
     slot = np.arange(n)                  # stored[slot[j]] == j
     basis = np.empty((n, n))             # W = basis[:k, :k], W W^T = inverse of G_PP
     order = np.empty(n, dtype=np.intp)   # order[:k] = P in factor order
@@ -356,10 +474,7 @@ def solve_nnls(A, b) -> NnlsSolution:
         if not converged:
             break
         w = dual(x)
-    resid = b - A @ x
-    rel = float(np.linalg.norm(resid) / b_norm) if b_norm > 0.0 else 0.0
-    return NnlsSolution(weights=x, relative_residual=rel,
-                        converged=converged, iterations=iterations)
+    return x, iterations, converged
 
 
 def uniform_calibrated_measure(p: float) -> SphericalMeasure:
@@ -381,7 +496,8 @@ def _measure_from_solution(directions: np.ndarray, weights: np.ndarray) -> Spher
 
 def _nearest_columns(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Sorted indices of the PROBE_REFINEMENT directions nearest each atom,
-    by largest |<atom, xi>| (antipodes are identified)."""
+    by largest |<atom, xi>| (antipodes are identified). It starts both the
+    plateau probe's pricing and the pivoting of a refinement level."""
     closeness = np.abs(atoms @ directions.T)
     nearest = np.argpartition(closeness, -PROBE_REFINEMENT, axis=1)
     return np.unique(nearest[:, -PROBE_REFINEMENT:])
@@ -447,6 +563,12 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     is Inconclusive. Thresholds are calibration constants and are printed
     in the report.
 
+    A level after the first whose coarser level predicts more than
+    PIVOTING_MIN_ATOMS atoms (the coarser level's atoms per direction times
+    this level's directions) is solved by block pivoting from the
+    PROBE_REFINEMENT directions nearest each of the coarser level's atoms;
+    every other level by Lawson-Hanson. Both end on the same dual test.
+
     The plateau probe is solved by pricing (``_solve_priced``) from the
     PROBE_REFINEMENT probe directions nearest each atom of the last level's
     solution (largest |<atom, xi>|): the same optimum as one solve over all
@@ -468,9 +590,15 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]
 
     solutions = []
-    for d, s in zip(direction_sets, sample_sets):
+    for i, (d, s) in enumerate(zip(direction_sets, sample_sets)):
         A, b = assemble_moment_system(spec, p, s, d)
-        solutions.append(solve_nnls(A, b))
+        start = None
+        if i:
+            coarse = direction_sets[i - 1]
+            atoms = coarse[solutions[-1].weights > 0.0]
+            if len(atoms) * len(d) > PIVOTING_MIN_ATOMS * len(coarse):
+                start = _nearest_columns(atoms, d)
+        solutions.append(solve_nnls(A, b, start=start))
     del A                                # the probe reuses only the last level's b
     level_rows = [FeasibilityLevel.from_solution(len(d), len(s), sol)
                   for d, s, sol in zip(direction_sets, sample_sets, solutions)]
@@ -551,8 +679,10 @@ def feasibility_report_text(result: FeasibilityResult) -> str:
         rows.append(("probe", result.plateau_probe))
     for tag, lv in rows:
         lines.append(f"{tag}: directions={lv.direction_count} samples={lv.sample_count} "
-                     f"residual={g17(lv.relative_residual)} iterations={lv.iterations} "
-                     f"active={lv.active} converged={lv.converged}")
+                     f"residual={g17(lv.relative_residual)} pivoting={lv.pivoting} "
+                     + (f"handover={lv.handover} " if lv.handover else "")
+                     + f"iterations={lv.iterations} active={lv.active} "
+                     f"converged={lv.converged}")
     if result.probe_pricing is not None:
         rounds, columns = result.probe_pricing
         lines.append(f"probe_pricing: rounds={rounds} columns={columns}")

@@ -267,6 +267,142 @@ class TestNnls:
         assert first.iterations == second.iterations
 
 
+def scan_solves(monkeypatch, label, p, **kwargs):
+    """Run feasibility_scan and record every (A, b, start, solution) it solves."""
+    calls = []
+
+    def recording(A, b, start=None):
+        calls.append((A, b, start, solve_nnls(A, b, start=start)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(levy, "solve_nnls", recording)
+    res = feasibility_scan(parse_spec(label), p, **kwargs)
+    return res, calls
+
+
+def assert_cold_result(A, b, start):
+    """A start that pivoting hands over gives the cold solve, bit for bit."""
+    cold, started = solve_nnls(A, b), solve_nnls(A, b, start=start)
+    assert started.handover > 0 and started.pivoting == 0
+    assert started.weights.tobytes() == cold.weights.tobytes()
+    assert started.iterations == cold.iterations
+    assert started.relative_residual == cold.relative_residual
+
+
+class TestPivoting:
+    @pytest.mark.parametrize("label, p", [
+        ("euclidean:dim=3", 1.0),
+        ("lq:q=2.5:dim=3", 0.5),
+        ("lq:q=4:dim=3", 0.5),
+    ])
+    def test_finest_level_reaches_the_lawson_hanson_optimum(self, monkeypatch, label, p):
+        # the scan starts its finest level from the directions nearest the
+        # coarser level's atoms; pivoting from there ends on the support
+        # Lawson-Hanson reaches from an empty set
+        _, calls = scan_solves(monkeypatch, label, p, seed=0)
+        A, b, start, pivoted = calls[-1]
+        cold = solve_nnls(A, b)
+        assert start is not None and pivoted.pivoting > 0 and pivoted.handover == 0
+        assert pivoted.converged
+        np.testing.assert_array_equal(pivoted.weights > 0.0, cold.weights > 0.0)
+        assert pivoted.relative_residual == pytest.approx(
+            cold.relative_residual, rel=1e-12, abs=0.0)
+        # iterations count passive-set changes: the start plus every flip
+        iterations, active = check_passive_solution_at_rounding_floor(A, b, pivoted)
+        assert iterations >= max(active, len(start))
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("start", ["empty", "full", "random"])
+    def test_pivoting_returns_the_reference_optimum_or_hands_over(self, seed, start):
+        rng = np.random.default_rng(seed)
+        A, b = rng.standard_normal((40, 15)), rng.standard_normal(40)
+        columns = {"empty": [], "full": np.arange(15),
+                   "random": np.flatnonzero(rng.random(15) < 0.5)}[start]
+        sol = solve_nnls(A, b, start=columns)
+        if sol.handover:
+            assert_cold_result(A, b, columns)
+        else:
+            w_ref, r_ref = scipy_nnls(A, b)
+            assert sol.pivoting > 0 and sol.converged
+            assert sol.relative_residual == pytest.approx(
+                r_ref / np.linalg.norm(b), abs=1e-12)
+            np.testing.assert_allclose(sol.weights, w_ref, atol=1e-9)
+
+    def test_random_tall_systems_mostly_pivot(self):
+        # the test above is not vacuous: from an empty start most of its
+        # systems are solved by pivoting
+        pivoted = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            pivoted += solve_nnls(rng.standard_normal((40, 15)), rng.standard_normal(40),
+                                  start=[]).pivoting > 0
+        assert pivoted >= 9
+
+    @pytest.mark.parametrize("extra", ["duplicate", "zero"])
+    def test_dependent_columns_hand_over(self, extra):
+        # the systems of check_rank_deficient: a start that holds column 3
+        # and its exact twin (or the zero column) makes a singular solve
+        rng = np.random.default_rng(13)
+        A = rng.random((50, 12))
+        M = np.column_stack([A, A[:, 3] if extra == "duplicate" else np.zeros(50)])
+        for b in (2.0 * A[:, 3] + 0.3 * rng.random(50), rng.standard_normal(50),
+                  A @ rng.random(12)):
+            assert_cold_result(M, b, [3, 12])
+            # from every column, pivoting may end on another optimum of the
+            # duplicate system, but never with both twins passive
+            sol = solve_nnls(M, b, start=np.arange(13))
+            _, r_ref = scipy_nnls(M, b)
+            assert sol.relative_residual == pytest.approx(
+                r_ref / np.linalg.norm(b), abs=1e-12)
+            assert sol.weights[3] == 0.0 or sol.weights[12] == 0.0
+
+    def test_nearly_dependent_pair_fails_the_dependence_test(self):
+        # b = c + (c + 1e-7 d): the pair solves with both weights near 1 and
+        # no sign to flip, but its second Cholesky pivot is about 1e-14 of
+        # its diagonal entry, which Lawson-Hanson would not factor
+        rng = np.random.default_rng(17)
+        c, d = rng.random(30), rng.random(30)
+        A = np.column_stack([c, c + 1e-7 * d])
+        assert_cold_result(A, A.sum(axis=1), [0, 1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_system_hands_over(self, seed):
+        # 40 columns in 15 rows: a start of every column has a singular Gram
+        rng = np.random.default_rng(seed)
+        assert_cold_result(rng.standard_normal((15, 40)), rng.standard_normal(15),
+                           np.arange(40))
+
+    def test_orlicz_scan_solves_every_level_by_lawson_hanson(self, monkeypatch):
+        # its finest level predicts 148 atoms, below PIVOTING_MIN_ATOMS
+        res, calls = scan_solves(monkeypatch, "orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 1.0,
+                                 seed=0)
+        assert [start for _, _, start, _ in calls] == [None] * len(calls)
+        assert all(lv.pivoting == lv.handover == 0 for lv in res.levels)
+
+    def test_euclidean_scan_pivots_on_its_finest_level_only(self, monkeypatch):
+        # level 1 predicts 61 / 64 * 256 = 244 atoms, level 2 far more
+        res, calls = scan_solves(monkeypatch, "euclidean:dim=3", 1.0)
+        assert [start is None for _, _, start, _ in calls] == [True, True, False]
+        assert [lv.pivoting > 0 for lv in res.levels] == [False, False, True]
+        assert all(lv.handover == 0 for lv in res.levels)
+        lines = [ln for ln in feasibility_report_text(res).splitlines()
+                 if ln.startswith("level ")]
+        assert [f"pivoting={lv.pivoting} iterations={lv.iterations} " in line
+                for lv, line in zip(res.levels, lines)] == [True] * 3
+        assert "pivoting=0 " in lines[0] and "pivoting=0 " not in lines[2]
+
+    def test_report_shows_a_handover(self, monkeypatch):
+        # with every start forced on, the l2 plane at p = 1.5 hands its
+        # finest level over to Lawson-Hanson after three exchanges that
+        # do not shrink the infeasible set
+        monkeypatch.setattr(levy, "PIVOTING_MIN_ATOMS", 0)
+        res = feasibility_scan(NormSpec.lq(2, 2), 1.5, seed=0)
+        last = res.levels[-1]
+        assert last.pivoting == 0 and last.handover > 0
+        assert (f"pivoting=0 handover={last.handover} iterations={last.iterations} "
+                in feasibility_report_text(res).splitlines()[-1])
+
+
 class TestDirections:
     def test_hemisphere_fold_is_canonical(self):
         dirs = to_hemisphere(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0],
