@@ -35,6 +35,7 @@ RESIDUAL_FLOOR = 1e-12         # residuals below this are rounding noise and com
 NNLS_DUAL_TOL = 1e-10
 NNLS_ITER_FACTOR = 10          # iteration cap = 10 * columns
 NNLS_DEPENDENT_TOL = 1e-12     # Schur complement / squared column norm below this = dependent
+SUBSTITUTION_BLOCK = 128       # rows per diagonal block of a pivoting round's triangular solves
 PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's directions
 # A level after the first is solved by block pivoting, started from the
 # directions nearest the coarser level's atoms, when the coarser level
@@ -43,8 +44,9 @@ PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's direc
 PIVOTING_MIN_ATOMS = 256
 # Largest level: directions (a plateau probe's 4x included) and samples.
 # solve_nnls holds the n x n Gram for the n directions of each scan level,
-# plus the n x n factor W of Lawson-Hanson or, when it pivots, a gathered
-# k x k block of k passive columns and LAPACK's copy of it; A is samples x n.
+# plus the n x n factor W of Lawson-Hanson or, when it pivots, LAPACK's copy
+# of the k x k passive block (a view of the permuted Gram) and its Cholesky
+# factor; A is samples x n.
 # The probe never forms its whole A: solve_nnls
 # receives only the priced columns, and pricing forms the probe's columns in
 # PROBE_REFINEMENT blocks, each the size of the last level's A.
@@ -220,7 +222,8 @@ def solve_nnls(A, b, start=None) -> NnlsSolution:
     All of G = A^T A is formed in one symmetric BLAS-3 product, wide systems
     included, and the system is solved by Lawson-Hanson (``_lawson_hanson``)
     or, given ``start``, column indices expected to be passive at the
-    optimum, by block principal pivoting from them (``_block_pivoting``).
+    optimum, by block principal pivoting from them (``_block_pivoting``),
+    which factors each round's passive block by Cholesky inside the Gram.
     When pivoting fails, Lawson-Hanson solves the system as if no start had
     been given, and ``handover`` records the pivoting solves spent. A
     pivoting result has ``pivoting`` solves (0 for Lawson-Hanson) and counts
@@ -267,62 +270,97 @@ def _block_pivoting(gram: np.ndarray, atb: np.ndarray, start):
     (A^T b)_F (x = 0 outside F), forms the dual w = A^T b - G x over all
     columns and flips every infeasible index: those in F with x <= 0 leave,
     those outside F with w > NNLS_DUAL_TOL enter. The rounds end when no
-    index is infeasible, which is the Lawson-Hanson optimality test. A round
-    holds the gathered k x k block G_FF and LAPACK's copy of it.
+    index is infeasible, which is the Lawson-Hanson optimality test.
+
+    ``gram`` is kept symmetrically permuted so that F fills its leading k
+    rows and columns (``perm`` records the order): a round exchanges only
+    the slots that changed (``_exchange``), factors the view G_FF by
+    Cholesky, solves by block substitution (``_substitute``) and takes the
+    dual from the leading k columns. LAPACK's copy of G_FF and the factor
+    are the only k x k arrays a round holds.
 
     Returns (x, solves, changes), where changes counts the start's columns
     plus every flipped column. x is None, and the system belongs to
-    Lawson-Hanson, when a solve is singular, when three exchanges in a row
-    leave the infeasible set no smaller than its smallest size so far, when
-    the final normal equations hold to no better than 1e-13 relative, or
-    when a Cholesky pivot of the final G_FF is not above NNLS_DEPENDENT_TOL
-    times its diagonal entry (Lawson-Hanson's dependence test). For that
-    factorization ``gram`` is permuted in place so that F leads; it is
-    restored exactly when the system goes to Lawson-Hanson.
+    Lawson-Hanson, when a round's G_FF fails Lawson-Hanson's dependence test
+    (its Cholesky fails, or a squared pivot is not above NNLS_DEPENDENT_TOL
+    times its diagonal entry), when three exchanges in a row leave the
+    infeasible set no smaller than its smallest size so far, or when the
+    final normal equations hold to no better than 1e-13 relative. ``gram``
+    is then restored exactly; on success it is left permuted.
     """
     n = len(atb)
     passive = np.zeros(n, dtype=bool)
     passive[start] = True
     changes = int(np.count_nonzero(passive))
+    perm = np.arange(n)                  # gram[i, j] = G[perm[i], perm[j]]
     solves = misses = 0
     fewest = n + 1                       # smallest infeasible set so far
     while True:
-        idx = np.flatnonzero(passive)
-        x = np.zeros(n)
+        k = int(np.count_nonzero(passive))
+        inside = passive[perm]
+        leaving = np.flatnonzero(~inside[:k])
+        if leaving.size:
+            entering = k + np.flatnonzero(inside[k:])
+            _exchange(gram, leaving, entering)
+            perm[leaving], perm[entering] = perm[entering], perm[leaving]
         solves += 1
         try:
-            x[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], atb[idx])
+            factor = np.linalg.cholesky(gram[:k, :k])
         except np.linalg.LinAlgError:
-            return None, solves, changes
-        w = atb - gram @ x
+            break
+        if not np.all(np.diagonal(factor) ** 2 > NNLS_DEPENDENT_TOL * np.diagonal(gram)[:k]):
+            break
+        x_f = _substitute(factor.T, _substitute(factor, atb[perm[:k]], lower=True), lower=False)
+        del factor                       # released before the next round's exchanges
+        x = np.zeros(n)
+        x[perm[:k]] = x_f
+        w = np.empty(n)
+        w[perm] = atb[perm] - gram[:, :k] @ x_f
         flip = np.where(passive, x <= 0.0, w > NNLS_DUAL_TOL)
         count = int(np.count_nonzero(flip))
         if not count:
+            if np.linalg.norm(w[passive]) <= 1e-13 * np.linalg.norm(atb[passive]):
+                return x, solves, changes
             break
         if count < fewest:
             fewest, misses = count, 0
         else:
             misses += 1
             if misses == 3:
-                return None, solves, changes
+                break
         passive ^= flip
         changes += count
-    if not np.linalg.norm(w[idx]) <= 1e-13 * np.linalg.norm(atb[idx]):
-        return None, solves, changes
-    # permute G in place so that F leads and G_FF is a view: the
-    # factorization then holds only LAPACK's copy and the factor
-    k = len(idx)
-    order = np.concatenate([idx, np.flatnonzero(~passive)])
-    _permute_in_place(gram, order)
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(gram[:k, :k])) ** 2
-        independent = bool(np.all(pivots > NNLS_DEPENDENT_TOL * np.diagonal(gram)[:k]))
-    except np.linalg.LinAlgError:
-        independent = False
-    if not independent:
-        _permute_in_place(gram, np.argsort(order))   # G restored exactly for Lawson-Hanson
-        return None, solves, changes
-    return x, solves, changes
+    _permute_in_place(gram, np.argsort(perm))    # G restored exactly for Lawson-Hanson
+    return None, solves, changes
+
+
+def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """y with tri y = rhs for a lower or upper triangular ``tri``, by block
+    forward or back substitution: one np.linalg.solve per diagonal block of
+    SUBSTITUTION_BLOCK rows, after one matrix-vector product with the part
+    of y already solved."""
+    k = len(rhs)
+    y = np.empty(k)
+    blocks = range(0, k, SUBSTITUTION_BLOCK)
+    for lo in (blocks if lower else reversed(blocks)):
+        hi = min(lo + SUBSTITUTION_BLOCK, k)
+        solved = tri[lo:hi, :lo] @ y[:lo] if lower else tri[lo:hi, hi:] @ y[hi:]
+        y[lo:hi] = np.linalg.solve(tri[lo:hi, lo:hi], rhs[lo:hi] - solved)
+    return y
+
+
+def _exchange(gram: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Swap rows and columns a[i] <-> b[i] of ``gram`` in place (all slots
+    distinct): rows in column strips and columns in row strips, each strip
+    of about 2^14 entries."""
+    n = len(gram)
+    step = max(1, (1 << 14) // (2 * len(a)))
+    for lo in range(0, n, step):
+        strip = slice(lo, lo + step)
+        gram[a, strip], gram[b, strip] = gram[b, strip], gram[a, strip]
+    for lo in range(0, n, step):
+        strip = slice(lo, lo + step)
+        gram[strip, a], gram[strip, b] = gram[strip, b], gram[strip, a]
 
 
 def _permute_in_place(gram: np.ndarray, order: np.ndarray) -> None:

@@ -372,6 +372,55 @@ class TestPivoting:
         assert_cold_result(rng.standard_normal((15, 40)), rng.standard_normal(15),
                            np.arange(40))
 
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("k", [0, 1, 127, 128, 129, 300, 1000])
+    def test_substitution_matches_solve(self, k, lower):
+        # blocks of SUBSTITUTION_BLOCK rows, with a partial last block
+        rng = np.random.default_rng(k)
+        M = rng.standard_normal((k, k))
+        factor = np.linalg.cholesky(np.eye(k) + M @ M.T / max(k, 1))
+        tri = factor if lower else factor.T
+        rhs = rng.standard_normal(k)
+        y = levy._substitute(tri, rhs, lower=lower)
+        assert np.linalg.norm(tri @ y - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        np.testing.assert_allclose(y, np.linalg.solve(tri, rhs), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("pairs", [1, 7, 60])
+    def test_exchange_matches_gather_and_restores_exactly(self, pairs):
+        n = 500
+        rng = np.random.default_rng(pairs)
+        M = rng.standard_normal((n, n))
+        original = np.asfortranarray(M + M.T)
+        gram = original.copy(order="F")
+        perm = np.arange(n)
+        for _ in range(2):               # a second exchange moves slots already moved
+            slots = rng.permutation(n)
+            a, b = np.sort(slots[:pairs]), np.sort(slots[pairs:2 * pairs])
+            levy._exchange(gram, a, b)
+            perm[a], perm[b] = perm[b], perm[a]
+            assert gram.tobytes() == original[np.ix_(perm, perm)].tobytes()
+        levy._permute_in_place(gram, np.argsort(perm))
+        assert gram.flags.f_contiguous and gram.tobytes() == original.tobytes()
+
+    def test_handover_after_exchanges_gives_the_cold_result(self, monkeypatch):
+        # the setup of test_report_shows_a_handover: the finest start is not
+        # the leading columns, so the first round exchanges before the
+        # system goes to Lawson-Hanson on the restored Gram
+        monkeypatch.setattr(levy, "PIVOTING_MIN_ATOMS", 0)
+        _, calls = scan_solves(monkeypatch, "lq:q=2:dim=2", 1.5, seed=0)
+        A, b, start, sol = calls[-1]
+        assert np.any(start >= len(start)) and sol.handover > 0
+        assert_cold_result(A, b, start)
+
+    def test_wide_level_hands_over_at_its_first_solve(self, monkeypatch):
+        # 1024 directions over 512 samples: the start's G_FF is singular, so
+        # the first factor fails the dependence test
+        _, calls = scan_solves(monkeypatch, "euclidean:dim=3", 1.0, seed=0,
+                               levels=[(64, 128), (256, 512), (1024, 512)])
+        A, b, start, sol = calls[-1]
+        assert start is not None and sol.handover == 1
+        assert_cold_result(A, b, start)
+
     def test_orlicz_scan_solves_every_level_by_lawson_hanson(self, monkeypatch):
         # its finest level predicts 148 atoms, below PIVOTING_MIN_ATOMS
         res, calls = scan_solves(monkeypatch, "orlicz:terms=0.5*t^3+0.5*t^5:dim=3", 1.0,
@@ -555,6 +604,24 @@ class TestScan:
             tracemalloc.stop()
         assert res.probe_pricing is not None
         assert peak < probe_bytes
+
+    def test_pivoting_never_holds_a_third_square_block(self, monkeypatch):
+        # the finest Euclidean level (n = 1024, about 950 passive columns)
+        # holds the n x n Gram and one k x k Cholesky factor at a time
+        # (LAPACK's copy of G_FF is not traced); a gathered G_FF beside
+        # its factor would exceed 2 n^2 doubles
+        _, calls = scan_solves(monkeypatch, "euclidean:dim=3", 1.0, seed=0)
+        A, b, start, _ = calls[-1]
+        n = A.shape[1]
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            sol = solve_nnls(A, b, start=start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.pivoting > 0
+        assert peak - held < 2 * n * n * 8
 
     def test_no_pricing_line_without_probe(self):
         res = feasibility_scan(NormSpec.lq(4, 2), 1.0, seed=7)
