@@ -21,7 +21,7 @@ from .mollifier import (ContradictionReport, DemoReport, contradiction_report,
                         demo_run, fourier_constant, lhs_integral, rhs_value)
 from .norms import (NormSpec, SpecError, SpecParseError, format_spec, norm_batch,
                     parse_spec)
-from .posdef import PsdWitness, kernel_matrix, min_eigenvalue, witness_search
+from .posdef import PsdWitness, witness_search
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "NormSpec", "PsdWitness", "SpecError", "SpecParseError",
     "SphericalMeasure", "assemble_moment_system", "check_orlicz_flatness",
     "contradiction_report", "demo_run", "feasibility_scan", "format_spec",
-    "fourier_constant", "kernel_matrix", "lhs_integral", "min_eigenvalue",
-    "norm_batch", "parse_spec", "rhs_value", "second_derivative_test",
-    "solve_nnls", "uniform_calibrated_measure", "witness_search",
+    "fourier_constant", "lhs_integral", "norm_batch", "parse_spec", "rhs_value",
+    "second_derivative_test", "solve_nnls", "uniform_calibrated_measure",
+    "witness_search",
 ]

@@ -286,13 +286,15 @@ def _block_pivoting(gram: np.ndarray, atb: np.ndarray, start):
     times its diagonal entry), when three exchanges in a row leave the
     infeasible set no smaller than its smallest size so far, or when the
     final normal equations hold to no better than 1e-13 relative. ``gram``
-    is then restored exactly; on success it is left permuted.
+    is then restored exactly by replaying the rounds' exchanges in reverse
+    (each is its own inverse); on success it is left permuted.
     """
     n = len(atb)
     passive = np.zeros(n, dtype=bool)
     passive[start] = True
     changes = int(np.count_nonzero(passive))
     perm = np.arange(n)                  # gram[i, j] = G[perm[i], perm[j]]
+    exchanges = []                       # (leaving, entering) slots of each round
     solves = misses = 0
     fewest = n + 1                       # smallest infeasible set so far
     while True:
@@ -302,6 +304,7 @@ def _block_pivoting(gram: np.ndarray, atb: np.ndarray, start):
         if leaving.size:
             entering = k + np.flatnonzero(inside[k:])
             _exchange(gram, leaving, entering)
+            exchanges.append((leaving, entering))
             perm[leaving], perm[entering] = perm[entering], perm[leaving]
         solves += 1
         try:
@@ -330,7 +333,8 @@ def _block_pivoting(gram: np.ndarray, atb: np.ndarray, start):
                 break
         passive ^= flip
         changes += count
-    _permute_in_place(gram, np.argsort(perm))    # G restored exactly for Lawson-Hanson
+    for leaving, entering in reversed(exchanges):
+        _exchange(gram, leaving, entering)       # G restored exactly for Lawson-Hanson
     return None, solves, changes
 
 
@@ -361,18 +365,6 @@ def _exchange(gram: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     for lo in range(0, n, step):
         strip = slice(lo, lo + step)
         gram[strip, a], gram[strip, b] = gram[strip, b], gram[strip, a]
-
-
-def _permute_in_place(gram: np.ndarray, order: np.ndarray) -> None:
-    """gram[...] = gram[np.ix_(order, order)] with no n x n temporary: rows
-    are permuted in column strips and columns in row strips, each strip of
-    about 2^15 entries."""
-    n = len(order)
-    step = max(1, (1 << 15) // n)
-    for lo in range(0, n, step):
-        gram[:, lo:lo + step] = gram[order, lo:lo + step]
-    for lo in range(0, n, step):
-        gram[lo:lo + step] = gram[lo:lo + step, order]
 
 
 def _lawson_hanson(gram: np.ndarray, atb: np.ndarray):

@@ -67,23 +67,16 @@ DEMO_N = (2, 4, 8, 16, 32)     # bump indices of the demo sweep
 
 
 def fourier_constant(p: float) -> float:
-    """c_p = 2^{p+1} sqrt(pi) Gamma((p+1)/2) / Gamma(-p/2), via log-Gamma.
+    """c_p = 2^{p+1} sqrt(pi) Gamma((p+1)/2) / Gamma(-p/2).
 
-    Gamma(-p/2) is reached through the reflection formula
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z), which also supplies its sign.
     Negative for every p in (0, 2). Poles at even integers p >= 0.
     """
     if not p > -1.0:
         raise ValueError(f"p must exceed -1, got {p}")
     if p >= 0.0 and p == 2.0 * round(p / 2.0):
         raise ValueError(f"p = {p} is an even integer (pole of the constant)")
-    # log|Gamma(-p/2)| = log pi - log|sin(-pi p/2)| - lgamma(1 + p/2)
-    sin_term = math.sin(-math.pi * p / 2.0)
-    log_abs_gamma_neg = (math.log(math.pi) - math.log(abs(sin_term))
-                         - math.lgamma(1.0 + p / 2.0))
-    log_abs = ((p + 1.0) * math.log(2.0) + 0.5 * math.log(math.pi)
-               + math.lgamma((p + 1.0) / 2.0) - log_abs_gamma_neg)
-    return math.copysign(math.exp(log_abs), sin_term)
+    return (2.0 ** (p + 1.0) * math.sqrt(math.pi) * math.gamma((p + 1.0) / 2.0)
+            / math.gamma(-p / 2.0))
 
 
 def _check_bump_index(n) -> None:

@@ -26,8 +26,7 @@ from scipy.special import gamma as _gamma
 from levylab.derivatives import d1_d2_norm_batch
 from levylab.norms import ORLICZ_MAX_ITER, norm_batch
 from levylab.posdef import (DEFAULT_TRIALS, REFINE_STEP_FRACTION, REFINE_STEPS,
-                            SCALE_SWEEP, SEARCH_CHUNKS, PsdWitness, kernel_matrix,
-                            min_eigenvalue)
+                            SCALE_SWEEP, SEARCH_CHUNKS, PsdWitness)
 from levylab.quadrature import (MAX_ROUNDS, PANEL_NODES, QuadResult, integrate_batch,
                                 panel_nodes, panel_sums)
 
@@ -354,7 +353,6 @@ def serial_witness_search(spec, p: float, n_points: int = 20,
             lam = cand
             points = proposal
 
-    lam = min_eigenvalue(kernel_matrix(spec, p, points))
     return PsdWitness(points=points, p=p, min_eigenvalue=lam, seed=seed,
                       spec_label=spec.label, trials=trials,
-                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS + 1)
+                      eigenproblems=trials * len(SCALE_SWEEP) + REFINE_STEPS)

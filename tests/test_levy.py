@@ -392,15 +392,37 @@ class TestPivoting:
         M = rng.standard_normal((n, n))
         original = np.asfortranarray(M + M.T)
         gram = original.copy(order="F")
-        perm = np.arange(n)
+        perm, exchanges = np.arange(n), []
         for _ in range(2):               # a second exchange moves slots already moved
             slots = rng.permutation(n)
             a, b = np.sort(slots[:pairs]), np.sort(slots[pairs:2 * pairs])
             levy._exchange(gram, a, b)
+            exchanges.append((a, b))
             perm[a], perm[b] = perm[b], perm[a]
             assert gram.tobytes() == original[np.ix_(perm, perm)].tobytes()
-        levy._permute_in_place(gram, np.argsort(perm))
+        for a, b in reversed(exchanges):  # the restore _block_pivoting makes
+            levy._exchange(gram, a, b)
         assert gram.flags.f_contiguous and gram.tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize("system", ["dependent twin", "l2 plane"])
+    def test_handover_leaves_the_gram_as_formed(self, monkeypatch, system):
+        # neither start is the leading columns, so the first round
+        # exchanges before pivoting hands the system over
+        if system == "dependent twin":
+            rng = np.random.default_rng(13)
+            A = rng.random((50, 12))
+            A, b, start = np.column_stack([A, A[:, 3]]), rng.standard_normal(50), [3, 12]
+        else:
+            monkeypatch.setattr(levy, "PIVOTING_MIN_ATOMS", 0)
+            _, calls = scan_solves(monkeypatch, "lq:q=2:dim=2", 1.5, seed=0)
+            A, b, start, _ = calls[-1]
+        assert np.any(np.asarray(start) >= len(start))
+        formed = np.empty((A.shape[1],) * 2, order="F")
+        np.matmul(A.T, A, out=formed.T)
+        gram = formed.copy(order="F")
+        x, solves, _ = levy._block_pivoting(gram, A.T @ b, start)
+        assert x is None and solves > 0
+        assert gram.flags.f_contiguous and gram.tobytes() == formed.tobytes()
 
     def test_handover_after_exchanges_gives_the_cold_result(self, monkeypatch):
         # the setup of test_report_shows_a_handover: the finest start is not
@@ -442,8 +464,8 @@ class TestPivoting:
 
     def test_report_shows_a_handover(self, monkeypatch):
         # with every start forced on, the l2 plane at p = 1.5 hands its
-        # finest level over to Lawson-Hanson after three exchanges that
-        # do not shrink the infeasible set
+        # finest level over to Lawson-Hanson at its first solve, whose
+        # G_FF fails the dependence test
         monkeypatch.setattr(levy, "PIVOTING_MIN_ATOMS", 0)
         res = feasibility_scan(NormSpec.lq(2, 2), 1.5, seed=0)
         last = res.levels[-1]

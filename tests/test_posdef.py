@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from _reference import full_pairwise_norms, serial_witness_search
 from levylab import posdef
 from levylab.norms import NormSpec
-from levylab.posdef import (REFINE_STEPS, SCALE_SWEEP, cannot_beat, kernel_matrix,
-                            min_eigenvalue, pairwise_norms, witness_csv,
-                            witness_report_text, witness_search)
+from levylab.posdef import (REFINE_STEP_FRACTION, REFINE_STEPS, SCALE_SWEEP, cannot_beat,
+                            pairwise_norms, witness_csv, witness_report_text,
+                            witness_search)
 
 L2 = NormSpec.lq(2, 3)
 L4 = NormSpec.lq(4, 3)
@@ -41,40 +41,39 @@ class _EigenCountingNumpy:
         return getattr(np, name)
 
 
+def kernel(spec, p, points):
+    """exp(-||x_i - x_j||^p) of one point set."""
+    return np.exp(-pairwise_norms(spec, np.asarray(points, dtype=float)) ** p)
+
+
 class TestKernel:
     def test_single_point(self):
-        np.testing.assert_array_equal(kernel_matrix(L4, 1.0, [[0.0, 0.0, 0.0]]),
-                                      [[1.0]])
+        np.testing.assert_array_equal(kernel(L4, 1.0, [[0.0, 0.0, 0.0]]), [[1.0]])
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(0)
-        G = kernel_matrix(L4, 1.5, rng.standard_normal((12, 3)))
+        G = kernel(L4, 1.5, rng.standard_normal((12, 3)))
         np.testing.assert_array_equal(G, G.T)
         np.testing.assert_array_equal(np.diag(G), np.ones(12))
 
     def test_gaussian_kernel_always_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            G = kernel_matrix(L2, 2.0, rng.standard_normal((10, 3)))
-            assert min_eigenvalue(G) >= -1e-12
+            G = kernel(L2, 2.0, rng.standard_normal((10, 3)))
+            assert np.linalg.eigvalsh(G)[0] >= -1e-12
 
     def test_euclidean_p1_always_psd(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            G = kernel_matrix(L2, 1.0, rng.standard_normal((10, 3)) * 2.0)
-            assert min_eigenvalue(G) >= -1e-12
-
-    def test_duplicate_points_warn(self):
-        pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.warns(UserWarning, match="duplicate"):
-            kernel_matrix(L4, 1.0, pts)
+            G = kernel(L2, 1.0, rng.standard_normal((10, 3)) * 2.0)
+            assert np.linalg.eigvalsh(G)[0] >= -1e-12
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((8, 3))
         shift = np.array([0.7, -2.0, 1.1])
-        np.testing.assert_allclose(kernel_matrix(L4, 1.5, pts),
-                                   kernel_matrix(L4, 1.5, pts + shift), rtol=1e-12)
+        np.testing.assert_allclose(kernel(L4, 1.5, pts),
+                                   kernel(L4, 1.5, pts + shift), rtol=1e-12)
 
     @settings(max_examples=25)
     @given(st.integers(0, 2))
@@ -83,8 +82,8 @@ class TestKernel:
         pts = rng.standard_normal((8, 3))
         flipped = pts.copy()
         flipped[:, axis] *= -1.0
-        np.testing.assert_allclose(kernel_matrix(L4, 1.0, pts),
-                                   kernel_matrix(L4, 1.0, flipped), rtol=1e-12)
+        np.testing.assert_allclose(kernel(L4, 1.0, pts),
+                                   kernel(L4, 1.0, flipped), rtol=1e-12)
 
     def test_pairwise_norms_zero_diagonal(self):
         rng = np.random.default_rng(5)
@@ -102,35 +101,6 @@ class TestKernel:
             np.testing.assert_array_equal(dist, full_pairwise_norms(spec, cloud))
         np.testing.assert_array_equal(D, np.swapaxes(D, -1, -2))
         np.testing.assert_array_equal(np.diagonal(D, axis1=-2, axis2=-1), np.zeros((4, 7)))
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue(np.eye(5)) == 1.0
-
-    def test_rank_one_ones(self):
-        assert min_eigenvalue(np.ones((2, 2))) == pytest.approx(0.0, abs=1e-15)
-
-    def test_planted_spectrum(self):
-        rng = np.random.default_rng(6)
-        Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-        vals = np.sort(rng.standard_normal(9))
-        M = Q @ np.diag(vals) @ Q.T
-        M = 0.5 * (M + M.T)
-        assert min_eigenvalue(M) == pytest.approx(vals[0], abs=1e-9)
-
-    def test_row_order_independent(self):
-        rng = np.random.default_rng(7)
-        G = kernel_matrix(L4, 1.5, rng.standard_normal((10, 3)))
-        perm = rng.permutation(10)
-        assert min_eigenvalue(G[np.ix_(perm, perm)]) == pytest.approx(
-            min_eigenvalue(G), abs=1e-12)
-
-    def test_asymmetric_rejected(self):
-        M = np.eye(3)
-        M[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            min_eigenvalue(M)
 
 
 class TestScreen:
@@ -164,10 +134,17 @@ class TestWitnessSearch:
         assert w.found
         assert w.min_eigenvalue == pytest.approx(L4_2_P15_WITNESS, rel=1e-9)
 
-    def test_witness_reverifiable_from_points(self):
-        w = witness_search(L4, 1.5, n_points=12, trials=300, seed=5)
-        rebuilt = min_eigenvalue(kernel_matrix(L4, 1.5, w.points))
-        assert rebuilt == w.min_eigenvalue
+    def test_witness_reverifiable_from_points(self, monkeypatch):
+        # a zero step proposes the same cloud, so the refinement never improves
+        # and the reported eigenvalue is the scale sweep's, from scaled norms
+        cases = [(L4, 1.5, 5), (L4_2, 0.5, 1), (NormSpec.lq(math.inf, 3), 1.0, 2),
+                 (NormSpec.lq(1, 5), 2.0, 3), (ORLICZ_5, 1.3, 4), (NormSpec.lq(3, 8), 0.7, 0)]
+        for step_fraction in (REFINE_STEP_FRACTION, 0.0):
+            monkeypatch.setattr(posdef, "REFINE_STEP_FRACTION", step_fraction)
+            for spec, p, seed in cases:
+                w = witness_search(spec, p, n_points=12, trials=300, seed=seed)
+                dist = full_pairwise_norms(spec, w.points)
+                assert np.linalg.eigvalsh(np.exp(-dist ** p))[0] == w.min_eigenvalue
 
     def test_euclidean_finds_nothing(self):
         w = witness_search(L2, 1.0, n_points=12, trials=500, seed=5)
@@ -236,7 +213,7 @@ class TestWitnessSearch:
         witness_search(L4, 1.5, n_points=n_points, trials=2000, seed=1)
         pairs = n_points * (n_points - 1) // 2
         assert max(rows) <= block_rows
-        assert sum(rows) == 2000 * pairs + REFINE_STEPS * n_points + 2 * pairs
+        assert sum(rows) == 2000 * pairs + REFINE_STEPS * n_points + pairs
 
     def test_eigenproblems_counts_every_kernel_solve(self, monkeypatch):
         counting = _EigenCountingNumpy()
@@ -244,7 +221,7 @@ class TestWitnessSearch:
         w = witness_search(L4, 1.5, n_points=6, trials=7, seed=3)
         assert w.eigenproblems == counting.solved
         assert w.screened > 0
-        assert w.eigenproblems + w.screened == 7 * len(SCALE_SWEEP) + REFINE_STEPS + 1
+        assert w.eigenproblems + w.screened == 7 * len(SCALE_SWEEP) + REFINE_STEPS
         text = witness_report_text(w)
         assert f"\neigenproblems: {w.eigenproblems}\nscreened: {w.screened}\n" in text
 
