@@ -90,9 +90,6 @@ class LhsResult:
     error: float
     term_first: float         # p(p-1) ||x||^{p-2} d1^2 part, nonpositive for p < 1
     term_second: float        # p ||x||^{p-1} d2 part, nonnegative
-    n: int
-    p: float
-    spec_label: str
     phi_count: int
     panels: int               # inner theta panels, summed over every phi evaluated
 
@@ -148,8 +145,7 @@ def lhs_integral(spec: NormSpec, p: float, n: int) -> LhsResult:
                         f"at phi_count = {m}")
                 return LhsResult(value=value, error=full_err,
                                  term_first=float(total[0]), term_second=float(total[1]),
-                                 n=n, p=p, spec_label=spec.label, phi_count=m,
-                                 panels=int(vals[:, 3].sum()))
+                                 phi_count=m, panels=int(vals[:, 3].sum()))
         prev = total
         m *= 2
         odd = theta_integrals([2.0 * math.pi * k / m for k in range(1, m, 2)])
@@ -185,10 +181,7 @@ def rhs_value(p: float, n: int, measure: SphericalMeasure) -> tuple[float, float
 @dataclass
 class DemoRow:
     n: int
-    lhs: float
-    lhs_err: float
-    phi_count: int
-    panels: int
+    pairing: LhsResult
     rhs: float | None = None
     lower_bound: float | None = None
 
@@ -196,7 +189,7 @@ class DemoRow:
     def rel_gap(self) -> float | None:
         if self.rhs is None or self.rhs == 0.0:
             return None
-        return abs(self.lhs - self.rhs) / abs(self.rhs)
+        return abs(self.pairing.value - self.rhs) / abs(self.rhs)
 
 
 @dataclass
@@ -214,9 +207,7 @@ def demo_run(spec: NormSpec, p: float) -> DemoReport:
     measure = uniform_calibrated_measure(p) if spec.terms == ((1.0, 2.0),) else None
     rows = []
     for n in DEMO_N:
-        lhs = lhs_integral(spec, p, n)
-        row = DemoRow(n=n, lhs=lhs.value, lhs_err=lhs.error,
-                      phi_count=lhs.phi_count, panels=lhs.panels)
+        row = DemoRow(n=n, pairing=lhs_integral(spec, p, n))
         if measure is not None:
             row.rhs, row.lower_bound = rhs_value(p, n, measure)
         rows.append(row)
@@ -271,7 +262,7 @@ def demo_csv(report: DemoReport) -> str:
     empty when no representing measure is in play."""
     rows = ["n,lhs,lhs_err,rhs,lower_bound"]
     for row in report.rows:
-        rows.append(f"{row.n},{g17(row.lhs)},{g17(row.lhs_err)},"
+        rows.append(f"{row.n},{g17(row.pairing.value)},{g17(row.pairing.error)},"
                     f"{g17(row.rhs)},{g17(row.lower_bound)}")
     return "\n".join(rows) + "\n"
 
@@ -287,6 +278,7 @@ def demo_report_text(report: DemoReport) -> str:
         if row.rhs is not None:
             extra = (f" rhs={g17(row.rhs)} lower_bound={g17(row.lower_bound)}"
                      f" rel_gap={g17(row.rel_gap)}")
-        lines.append(f"n={row.n}: lhs={g17(row.lhs)} lhs_err={g17(row.lhs_err)}"
-                     f" phi_count={row.phi_count} panels={row.panels}{extra}")
+        lhs = row.pairing
+        lines.append(f"n={row.n}: lhs={g17(lhs.value)} lhs_err={g17(lhs.error)}"
+                     f" phi_count={lhs.phi_count} panels={lhs.panels}{extra}")
     return "\n".join(lines) + "\n"

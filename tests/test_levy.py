@@ -372,6 +372,41 @@ class TestPivoting:
         assert_cold_result(rng.standard_normal((15, 40)), rng.standard_normal(15),
                            np.arange(40))
 
+    def test_cycling_exchanges_hand_over_after_three_misses(self, monkeypatch):
+        # from every column, the full exchanges of this system leave the
+        # infeasible set no smaller three times in a row after 12 solves;
+        # without that rule they cycle, so every Cholesky is counted and
+        # the test fails past 100 instead of looping
+        cholesky, factored = np.linalg.cholesky, []
+
+        def counted(a):
+            factored.append(len(a))
+            assert len(factored) <= 100, "block pivoting did not hand over"
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        rng = np.random.default_rng(0)
+        X, D = rng.standard_normal((24, 3)), rng.standard_normal((20, 3))
+        A, b = np.abs(X @ D.T), np.abs(rng.standard_normal(24))
+        assert solve_nnls(A, b, start=np.arange(20)).handover == 12
+        assert_cold_result(A, b, np.arange(20))
+        assert len(factored) == 2 * 12
+
+    @pytest.mark.parametrize("eps", [2e-6, 1e-5, 1e-4])
+    def test_inexact_normal_equations_hand_over(self, eps):
+        # three nearly dependent columns whose weights near 1 / eps leave
+        # no sign to flip: G passes the dependence test, but the normal
+        # equations of the first solve hold to no better than 1e-13
+        rng = np.random.default_rng(3)
+        c1, c2, d = (rng.standard_normal(30) for _ in range(3))
+        A = np.column_stack([c1, c2, eps * d - (c1 + c2)])
+        gram = A.T @ A
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        assert np.all(pivots > levy.NNLS_DEPENDENT_TOL * np.diagonal(gram))
+        sol = solve_nnls(A, d, start=[0, 1, 2])
+        assert sol.handover == 1 and np.all(sol.weights > 0.2 / eps)
+        assert_cold_result(A, d, [0, 1, 2])
+
     @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("k", [0, 1, 127, 128, 129, 300, 1000])
     def test_substitution_matches_solve(self, k, lower):
@@ -748,6 +783,18 @@ class TestSerialization:
                                  "converged=True")
         assert feasibility_csv(res).splitlines()[0] == \
             "level,directions,samples,relative_residual"
+
+    def test_levels_are_the_records_the_solves_returned(self, monkeypatch):
+        res, calls = scan_solves(monkeypatch, "lq:q=4:dim=3", 1.0,
+                                 levels=[(32, 128), (128, 256)], seed=7)
+        assert len(res.levels) == 2
+        for lv, (A, _, _, sol) in zip(res.levels, calls):
+            assert lv is sol
+            assert (lv.sample_count, lv.direction_count) == A.shape
+            assert lv.active == np.count_nonzero(lv.weights > 0.0) > 0
+        probe = res.plateau_probe
+        assert (probe.sample_count, probe.direction_count) == (256, levy.PROBE_REFINEMENT * 128)
+        assert probe.active == np.count_nonzero(probe.weights > 0.0) > 0
 
     def test_measure_csv_round_numbers(self):
         mu = SphericalMeasure(directions=np.eye(3), weights=np.array([1.0, 0.5, 2.0]))

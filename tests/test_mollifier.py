@@ -316,6 +316,12 @@ class TestIdentity:
         assert report.measure_atoms == 2048
         assert report.rows == mollifier.demo_run(EUC, 0.5).rows
 
+    def test_demo_rows_hold_the_pairing_lhs_integral_returns(self):
+        report = mollifier.demo_run(L4, 0.5)
+        assert [row.n for row in report.rows] == list(mollifier.DEMO_N)
+        for row in report.rows:
+            assert row.pairing == lhs_integral(L4, 0.5, row.n)
+
     def test_demo_csv_shape(self):
         report = DemoReport(spec_label="lq:q=4:dim=3", p=0.5,
                             rows=[], measure_atoms=0)
