@@ -13,14 +13,14 @@ Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
 artifact with its sha256 and echoes the effective config. Every command
 writes its CSV and its structured text report. CSV uses '.' decimals, 17
 significant digits, and LF line endings, so a rerun with the same config
-is byte-identical. The spec, --levels (sizes included), --theta-count,
---points, --trials, --p (0 < p <= 2) and --seed (nonnegative) are checked
-first, whatever the command, so a bad value exits 2 with nothing written;
-the --out directory is created before any route runs.
+is byte-identical. The spec, --levels (sizes included), --points,
+--trials, --p (0 < p <= 2) and --seed (nonnegative) are checked first,
+whatever the command, so a bad value exits 2 with nothing written; the
+--out directory is created before any route runs. The criterion samples
+its tube on a fixed grid of criterion.THETA_COUNT points.
 --timings prints each route's wall time to stderr and changes no artifact.
 
-Flags: --spec --p --seed --theta-count --levels --trials --points --out
---timings.
+Flags: --spec --p --seed --levels --trials --points --out --timings.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
 non-convergence or failure, or a conflict between routes.
@@ -41,7 +41,7 @@ from . import levy
 from . import mollifier as moll
 from . import posdef
 from .derivatives import DerivativeError
-from .norms import NormSpec, SpecError, check_p, parse_spec
+from .norms import NormSpec, SpecError, _fmt_number, check_p, parse_spec
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -55,7 +55,6 @@ class RunConfig:
     spec: str
     p: float = 1.0
     seed: int = 0
-    theta_count: int = crit.DEFAULT_THETA_COUNT
     levels: str = ""
     trials: int = posdef.DEFAULT_TRIALS
     points: int = 20
@@ -66,9 +65,8 @@ class RunConfig:
         return [
             f"command={self.command}",
             f"spec={self.spec}",
-            f"p={self.p:g}",
+            f"p={_fmt_number(self.p)}",
             f"seed={self.seed}",
-            f"theta_count={self.theta_count}",
             f"levels={self.levels}",
             f"trials={self.trials}",
             f"points={self.points}",
@@ -98,12 +96,12 @@ def parse_levels(text: str):
 
 
 def _artifact_name(config: RunConfig, suffix: str, tag: str = "") -> str:
-    base = f"{config.command}_{spec_slug(config.spec)}_{config.p:g}"
+    base = f"{config.command}_{spec_slug(config.spec)}_{_fmt_number(config.p)}"
     return f"{base}{tag}.{suffix}"
 
 
 def _run_criterion(config: RunConfig, spec: NormSpec, banner: list):
-    report = crit.second_derivative_test(spec, theta_count=config.theta_count)
+    report = crit.second_derivative_test(spec)
     artifacts = {
         _artifact_name(config, "csv"): crit.decay_profile_csv(report),
         _artifact_name(config, "txt"): crit.report_text(report),
@@ -220,7 +218,6 @@ def run(config: RunConfig) -> int:
     try:
         if levels:
             levy.check_level_sizes(levels)
-        crit.check_theta_count(config.theta_count)
         posdef.check_search_size(config.points, config.trials)
         check_p(config.p)
         if config.seed < 0:
@@ -238,7 +235,7 @@ def run(config: RunConfig) -> int:
     banner: list[str] = []
     try:
         artifacts, _, status = _run_route(config, spec, banner)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, DerivativeError) as exc:
@@ -274,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, help="norm spec string (see module doc)")
         sp.add_argument("--p", type=float, default=default_p)
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
-        sp.add_argument("--theta-count", type=int, default=RunConfig.theta_count)
         sp.add_argument("--levels", default=RunConfig.levels,
                         help="refinement levels 'dirs:samples,...' (empty = defaults)")
         sp.add_argument("--trials", type=int, default=RunConfig.trials)

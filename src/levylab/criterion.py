@@ -30,9 +30,7 @@ FAILS_II = "FailsConditionII"
 FAILS_III = "FailsConditionIII"
 NOT_APPLICABLE = "NotApplicable"
 
-DEFAULT_THETA_COUNT = 720
-# Largest theta grid: the largest derivative batch is 16 x theta_count rows.
-MAX_THETA_COUNT = 20_000
+THETA_COUNT = 720         # points of the tube ||x2 e2 + x3 e3|| = 1
 # Upper end of the x1 scan. A power of two, so the dyadic tail beyond it
 # lands on exactly the rows the scan would (d1_d2_norm_batch prescales by
 # powers of two).
@@ -64,7 +62,6 @@ class CriterionReport:
     k_hat: float | None = None
     k_hat_at_x1: float | None = None
     decay_profile: tuple[tuple[float, float], ...] = ()
-    theta_count: int = 0
     analytic_flatness: FlatnessResult | None = None    # Orlicz specs only
 
     @property
@@ -113,13 +110,11 @@ def check_orlicz_flatness(spec: NormSpec) -> FlatnessResult:
     return FlatnessResult(eligible=eligible, reasons=tuple(reasons), note=note)
 
 
-def _not_applicable(spec: NormSpec, reason: str, theta_count: int) -> CriterionReport:
-    return CriterionReport(spec_label=spec.label, verdict=NOT_APPLICABLE, reason=reason,
-                           theta_count=theta_count)
+def _not_applicable(spec: NormSpec, reason: str) -> CriterionReport:
+    return CriterionReport(spec_label=spec.label, verdict=NOT_APPLICABLE, reason=reason)
 
 
-def second_derivative_test(spec: NormSpec,
-                           theta_count: int = DEFAULT_THETA_COUNT) -> CriterionReport:
+def second_derivative_test(spec: NormSpec) -> CriterionReport:
     """Check conditions I-III on grids and return a verdict report.
 
     The supremum behind condition II is reduced to a compact scan plus a tail
@@ -129,37 +124,29 @@ def second_derivative_test(spec: NormSpec,
     For Orlicz specs the report also carries :func:`check_orlicz_flatness`,
     and ``report.disagreement`` says when it contradicts the grid verdict.
     """
-    report = _grid_test(spec, theta_count)
+    report = _grid_test(spec)
     if spec.kind == "orlicz":
         report.analytic_flatness = check_orlicz_flatness(spec)
     return report
 
 
-def check_theta_count(theta_count: int) -> None:
-    """Refuse theta grids outside [8, MAX_THETA_COUNT]."""
-    if not 8 <= theta_count <= MAX_THETA_COUNT:
-        raise ValueError(f"theta_count must lie in [8, {MAX_THETA_COUNT}], got {theta_count}")
-
-
-def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
-    check_theta_count(theta_count)
+def _grid_test(spec: NormSpec) -> CriterionReport:
     if spec.dim != 3:
         why = ("the test is vacuous in dim 2, where every normed plane embeds "
                "isometrically in L_p for p <= 1" if spec.dim == 2
                else "the theorem is stated for 3-dimensional spaces")
         return _not_applicable(
-            spec, f"requires dim = 3 (got dim = {spec.dim}); {why}", theta_count)
+            spec, f"requires dim = 3 (got dim = {spec.dim}); {why}")
     q = spec.terms[0][1]                            # the least exponent of M
     if q == math.inf:
-        return _not_applicable(
-            spec, "q = inf: max-norm sections are not twice differentiable", theta_count)
+        return _not_applicable(spec, "q = inf: max-norm sections are not twice differentiable")
     if not spec.smooth_in_x1:
         detail = (f"q = {q:g} < 2" if spec.kind == "lq"
                   else f"minimum Orlicz exponent {q:g} < 2")
         return _not_applicable(
-            spec, f"x1-sections are not C^2 off the plane x1 = 0 ({detail})", theta_count)
+            spec, f"x1-sections are not C^2 off the plane x1 = 0 ({detail})")
 
-    thetas = 2.0 * math.pi * np.arange(theta_count) / theta_count
+    thetas = 2.0 * math.pi * np.arange(THETA_COUNT) / THETA_COUNT
     tube = subsphere_batch(spec, thetas)            # ||x2 e2 + x3 e3|| = 1
 
     def grid(x1_values, tube_pts) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +154,8 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
         columns = tube points."""
         x1_values = np.asarray(x1_values, dtype=float)
         d1s, d2s = [], []
-        # at most 16 * theta_count rows per batch bounds peak memory
-        per_batch = 16 * theta_count // len(tube_pts)
+        # at most 16 * THETA_COUNT rows per batch bounds peak memory
+        per_batch = 16 * THETA_COUNT // len(tube_pts)
         for block in np.array_split(x1_values, -(-len(x1_values) // per_batch)):
             pts = np.column_stack([np.repeat(block, len(tube_pts)),
                                    np.tile(tube_pts, (len(block), 1))])
@@ -194,7 +181,7 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
     peak_theta = float(thetas[int(np.argmax(scan[k_scan_idx]))])
     dx1 = float(x1_scan[min(k_scan_idx + 1, SCAN_X1_POINTS - 1)]
                 - x1_scan[max(k_scan_idx - 1, 0)]) / 2.0 or peak_x1
-    dtheta = 2.0 * math.pi / theta_count
+    dtheta = 2.0 * math.pi / THETA_COUNT
     for _ in range(4):
         x1_local = np.linspace(max(peak_x1 - dx1, 1e-9), peak_x1 + dx1, 33)
         vals = grid(x1_local, subsphere_batch(spec, np.array([peak_theta])))[1][:, 0]
@@ -248,7 +235,6 @@ def _grid_test(spec: NormSpec, theta_count: int) -> CriterionReport:
         k_hat=k_hat,
         k_hat_at_x1=peak_x1,
         decay_profile=profile,
-        theta_count=theta_count,
     )
 
 
@@ -262,7 +248,7 @@ def report_text(report: CriterionReport) -> str:
         f"cond_i_max_d2: {g17(report.cond_i_max_d2)}",
         f"K_hat: {g17(report.k_hat)}",
         f"K_hat_at_x1: {g17(report.k_hat_at_x1)}",
-        f"theta_count: {report.theta_count}",
+        f"theta_count: {THETA_COUNT}",
         f"x1_grid: {'' if report.verdict == NOT_APPLICABLE else X1_GRID}",
         f"tol_i: {g17(TOL_I)}",
         f"tol_iii: {g17(TOL_III)}",

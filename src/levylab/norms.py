@@ -52,24 +52,20 @@ class SpecParseError(SpecError):
         self.position = position
 
 
-class OrliczError(SpecError):
-    """The Orlicz function fails a structural requirement."""
-
-
 def check_exponent(exp: float) -> None:
     """Refuse an exponent of M above MAX_EXPONENT."""
     if exp > MAX_EXPONENT:
-        raise OrliczError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
-                          "beyond double-precision powers")
+        raise SpecError(f"exponent {exp:g} exceeds {MAX_EXPONENT:g}, "
+                        "beyond double-precision powers")
 
 
 def _check_term(coef: float, exp: float) -> None:
     if not (math.isfinite(coef) and math.isfinite(exp)):
-        raise OrliczError("coefficients and exponents must be finite")
+        raise SpecError("coefficients and exponents must be finite")
     if coef < 0:
-        raise OrliczError(f"negative coefficient {coef}")
+        raise SpecError(f"negative coefficient {coef}")
     if exp < 1:
-        raise OrliczError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
+        raise SpecError(f"exponent {exp} < 1 breaks convexity on [0, 1]")
     check_exponent(exp)
 
 
@@ -93,12 +89,12 @@ class NormSpec:
         if self.kind != "orlicz":
             return
         if not self.terms:
-            raise OrliczError("at least one term with a positive coefficient is required")
+            raise SpecError("at least one term with a positive coefficient is required")
         for coef, exp in self.terms:
             _check_term(coef, exp)
         total = math.fsum(coef for coef, _ in self.terms)
         if not abs(total - 1.0) <= 1e-12:
-            raise OrliczError(f"M(1) = {total!r} != 1; construct via NormSpec.orlicz_norm")
+            raise SpecError(f"M(1) = {total!r} != 1; construct via NormSpec.orlicz_norm")
 
     @classmethod
     def lq(cls, q: float, dim: int) -> "NormSpec":
@@ -123,7 +119,7 @@ class NormSpec:
         try:
             total = math.fsum(merged.values())
         except OverflowError:
-            raise OrliczError("the coefficients sum to more than the largest float") from None
+            raise SpecError("the coefficients sum to more than the largest float") from None
         if abs(total - 1.0) > 4 * np.finfo(float).eps:
             merged = {exp: coef / total for exp, coef in merged.items()}
         ordered = tuple(sorted(((coef, exp) for exp, coef in merged.items()),

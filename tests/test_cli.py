@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -11,8 +13,17 @@ from levylab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main,
 from test_mollifier import nan_d2_at_phi_zero
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(argv):
     return main(argv)
+
+
+def documented_flags(text: str) -> list[str]:
+    """The options of the 'Flags:' line of a document."""
+    listed = re.search(r"Flags: `?((?:--[\w-]+\s*)+)", text)
+    return listed.group(1).split()
 
 
 class TestParsing:
@@ -72,12 +83,20 @@ class TestParsing:
             "invalid configuration: p must lie in (0, 2]")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--format", "csv"), ("--x1-max", "64")])
+    @pytest.mark.parametrize("flag, value", [("--format", "csv"), ("--x1-max", "64"),
+                                             ("--theta-count", "64")])
     def test_removed_flags_exit_2(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
             run_cli(["criterion", "--spec", "lq:q=4:dim=3", flag, value,
                      "--out", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
+
+    def test_documented_flags_match_the_parser(self):
+        # every command takes the same flags (test_command_table_drives_parser_and_dispatch)
+        args = vars(cli.build_parser().parse_args(["criterion", "--spec", "lq:q=4:dim=3"]))
+        flags = sorted("--" + name.replace("_", "-") for name in args if name != "command")
+        assert sorted(documented_flags(cli.__doc__)) == flags
+        assert sorted(documented_flags(README.read_text())) == flags
 
     def test_removed_derive_command_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -153,15 +172,6 @@ class TestCriterionCommand:
         else:
             assert f"\n{flat_line}\n" in report
 
-    def test_oversized_theta_count_exits_2(self, tmp_path, capsys):
-        cap = crit.MAX_THETA_COUNT
-        code = run_cli(["criterion", "--spec", "lq:q=4:dim=3", "--theta-count", str(cap + 1),
-                        "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [
-            f"invalid configuration: theta_count must lie in [8, {cap}], got {cap + 1}"]
-        assert not (tmp_path / "manifest.txt").exists()
-
 
 class TestLevyCommand:
     def test_dim2_feasible(self, tmp_path):
@@ -222,7 +232,6 @@ class TestLevyCommand:
         ("--points", "2", "n_points must be at least 3"),
         ("--points", "182", "n_points must be at most 181: 182 points make 16471 pairs, "
          "more than one search block of 16384 rows"),
-        ("--theta-count", "4", f"theta_count must lie in [8, {crit.MAX_THETA_COUNT}], got 4"),
     ])
     def test_all_refuses_bad_value_before_any_route(self, tmp_path, capsys, flag, value,
                                                      refusal):
@@ -262,6 +271,18 @@ class TestPosdefCommand:
         assert not (tmp_path / "manifest.txt").exists()
 
 
+    def test_p_is_written_exactly(self, tmp_path):
+        # 0.5000001 and 0.5 agree to 6 significant digits; their artifacts must not
+        for p in ("0.5000001", "0.5"):
+            code = run_cli(["posdef", "--spec", "lq:q=4:dim=2", "--p", p, "--trials", "10",
+                            "--points", "5", "--out", str(tmp_path / p)])
+            assert code == EXIT_OK
+            assert sorted(f.name for f in (tmp_path / p).iterdir()) == [
+                "manifest.txt", f"posdef_lq-q-4-dim-2_{p}.csv",
+                f"posdef_lq-q-4-dim-2_{p}.txt"]
+            assert f"\np={p}\n" in (tmp_path / p / "manifest.txt").read_text()
+
+
 class TestDemoCommand:
     def test_flat_norm_sweep_has_empty_fourier_columns(self, tmp_path):
         code = run_cli(["demo", "--spec", "lq:q=4:dim=3", "--p", "0.5",
@@ -291,12 +312,13 @@ class TestSpellingsOfL2:
     # the labels, and the Orlicz-only lines of the criterion report
     DROPPED = ("spec:", "# spec=", "spec=", "file=", "analytic_flatness:", "disagreement:")
 
-    def test_all_writes_the_same_artifacts(self, tmp_path):
+    def test_all_writes_the_same_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(crit, "THETA_COUNT", 64)
         artifacts = []
         for k, spec in enumerate(self.SPELLINGS):
             out = tmp_path / str(k)
             assert run_cli(["all", "--spec", spec, "--p", "0.5", "--levels", "16:32,64:128",
-                            "--trials", "50", "--points", "6", "--theta-count", "64",
+                            "--trials", "50", "--points", "6",
                             "--out", str(out)]) == EXIT_OK
             artifacts.append({
                 f.name.replace(spec_slug(spec), "SPEC"):
@@ -413,8 +435,9 @@ class TestFuzz:
     @given(spec=SPEC_TEXT)
     @example(spec="orlicz:terms=1e308*t^3+1e308*t^5:dim=3")    # coefficient sum overflows
     @example(spec="orlicz:terms=1*t^1e308+1*t^1e308:dim=3")    # exponent above the cap
-    def test_every_spec_ends_in_a_documented_exit_code(self, tmp_path, spec):
+    def test_every_spec_ends_in_a_documented_exit_code(self, tmp_path, monkeypatch, spec):
+        monkeypatch.setattr(crit, "THETA_COUNT", 8)
         for command in ("criterion", "posdef"):
-            config = cli.RunConfig(command=command, spec=spec, theta_count=8, trials=2,
-                                   points=3, out=str(tmp_path))
+            config = cli.RunConfig(command=command, spec=spec, trials=2, points=3,
+                                   out=str(tmp_path))
             assert cli.run(config) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

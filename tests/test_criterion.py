@@ -90,9 +90,31 @@ class TestVerdicts:
         report = cr.second_derivative_test(spec)
         assert report.verdict == cr.NOT_APPLICABLE
 
-    def test_degenerate_grid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            cr.second_derivative_test(NormSpec.lq(4, 3), theta_count=4)
+
+# Verdicts at THETA_COUNT = 720, one spec per l_q exponent, Euclidean and Orlicz
+# case; the tube grid is a fixed constant because none of them moves with it.
+GRID_VERDICTS = {
+    "lq:q=2.2:dim=3": cr.FAILS_III,
+    "lq:q=2.5:dim=3": cr.APPLIES,
+    "lq:q=3:dim=3": cr.APPLIES,
+    "lq:q=4:dim=3": cr.APPLIES,
+    "lq:q=6:dim=3": cr.APPLIES,
+    "lq:q=20:dim=3": cr.APPLIES,
+    "lq:q=100:dim=3": cr.APPLIES,
+    "euclidean:dim=3": cr.FAILS_I,
+    "orlicz:terms=0.5*t^3+0.5*t^5:dim=3": cr.APPLIES,
+    "orlicz:terms=0.5*t^2+0.5*t^4:dim=3": cr.FAILS_I,
+    "orlicz:terms=1*t^2.0000001:dim=3": cr.FAILS_III,
+    "orlicz:terms=0.9*t^2.1+0.1*t^40:dim=3": cr.FAILS_III,
+}
+
+
+@pytest.mark.parametrize("label", list(GRID_VERDICTS))
+def test_verdict_does_not_depend_on_the_theta_grid(monkeypatch, label):
+    spec = parse_spec(label)
+    for theta_count in (cr.THETA_COUNT, 8, 1440):
+        monkeypatch.setattr(cr, "THETA_COUNT", theta_count)
+        assert cr.second_derivative_test(spec).verdict == GRID_VERDICTS[label], theta_count
 
 
 class TestReportInvariants:
@@ -115,7 +137,8 @@ class TestReportInvariants:
         spec = NormSpec.lq(q, 3)
         base = cr.second_derivative_test(spec)
         monkeypatch.setattr(cr, "X1_MAX", 128.0)    # doubled, still a power of two
-        fine = cr.second_derivative_test(spec, theta_count=1440)
+        monkeypatch.setattr(cr, "THETA_COUNT", 1440)
+        fine = cr.second_derivative_test(spec)
         assert abs(fine.k_hat - base.k_hat) / base.k_hat < 0.05
 
     @pytest.mark.parametrize("label", ["lq:q=4:dim=3", "orlicz:terms=0.5*t^3+0.5*t^5:dim=3"])
@@ -129,11 +152,12 @@ class TestReportInvariants:
         assert report.decay_profile == tuple(
             (2.0 ** -k, v) for k, v in enumerate(expected["decay"]))
 
-    @pytest.mark.parametrize("theta_count", [8, cr.DEFAULT_THETA_COUNT])
+    @pytest.mark.parametrize("theta_count", [8, cr.THETA_COUNT])
     def test_derivative_batches(self, monkeypatch, theta_count):
         # 1 condition-I batch, 8 scan blocks, 4 zoom steps of one x1 and one
         # theta batch of 33 rows each, 2 tail and 2 ladder blocks, none above
-        # the 16 * theta_count rows that MAX_THETA_COUNT is sized for
+        # 16 * THETA_COUNT rows
+        monkeypatch.setattr(cr, "THETA_COUNT", theta_count)
         rows = []
 
         def counted(spec, pts):
@@ -141,7 +165,7 @@ class TestReportInvariants:
             return d1_d2_norm_batch(spec, pts)
 
         monkeypatch.setattr(cr, "d1_d2_norm_batch", counted)
-        cr.second_derivative_test(NormSpec.lq(4, 3), theta_count=theta_count)
+        cr.second_derivative_test(NormSpec.lq(4, 3))
         assert len(rows) == 21
         assert rows.count(33) == 8
         assert max(rows) <= 16 * theta_count
