@@ -13,14 +13,15 @@ Subcommands: criterion, levy, posdef, demo, all. Artifacts are written to
 artifact with its sha256 and echoes the effective config. Every command
 writes its CSV and its structured text report. CSV uses '.' decimals, 17
 significant digits, and LF line endings, so a rerun with the same config
-is byte-identical. The spec, --levels (sizes included), --points,
---trials, --p (0 < p <= 2) and --seed (nonnegative) are checked first,
-whatever the command, so a bad value exits 2 with nothing written; the
---out directory is created before any route runs. The criterion samples
-its tube on a fixed grid of criterion.THETA_COUNT points.
+is byte-identical. The spec, --points, --trials, --p (0 < p <= 2) and
+--seed (nonnegative) are checked first, whatever the command, so a bad
+value exits 2 with nothing written; the --out directory is created before
+any route runs. The criterion samples its tube on a fixed grid of
+criterion.THETA_COUNT points, and the moment problem refines over the fixed
+levels of levy.LEVELS.
 --timings prints each route's wall time to stderr and changes no artifact.
 
-Flags: --spec --p --seed --levels --trials --points --out --timings.
+Flags: --spec --p --seed --trials --points --out --timings.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical
 non-convergence or failure, or a conflict between routes.
@@ -55,7 +56,6 @@ class RunConfig:
     spec: str
     p: float = 1.0
     seed: int = 0
-    levels: str = ""
     trials: int = posdef.DEFAULT_TRIALS
     points: int = 20
     out: str = "."
@@ -67,7 +67,6 @@ class RunConfig:
             f"spec={self.spec}",
             f"p={_fmt_number(self.p)}",
             f"seed={self.seed}",
-            f"levels={self.levels}",
             f"trials={self.trials}",
             f"points={self.points}",
         ]
@@ -75,24 +74,6 @@ class RunConfig:
 
 def spec_slug(spec_text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", spec_text).strip("-")
-
-
-def parse_levels(text: str):
-    """Level list grammar: 'dirs:samples,dirs:samples,...' (empty = defaults)."""
-    if not text:
-        return None
-    levels = []
-    for chunk in text.split(","):
-        if ":" not in chunk:
-            raise SpecError(f"level {chunk!r} is not of the form directions:samples")
-        d, s = chunk.split(":", 1)
-        try:
-            levels.append((int(d), int(s)))
-        except ValueError:
-            raise SpecError(f"level {chunk!r} must hold two integers") from None
-        if levels[-1][0] < 1 or levels[-1][1] < 1:
-            raise SpecError(f"level {chunk!r} must hold positive integers")
-    return levels
 
 
 def _artifact_name(config: RunConfig, suffix: str, tag: str = "") -> str:
@@ -110,9 +91,7 @@ def _run_criterion(config: RunConfig, spec: NormSpec, banner: list):
 
 
 def _run_levy(config: RunConfig, spec: NormSpec, banner: list):
-    result = levy.feasibility_scan(spec, config.p,
-                                   levels=parse_levels(config.levels),
-                                   seed=config.seed)
+    result = levy.feasibility_scan(spec, config.p, seed=config.seed)
     artifacts = {
         _artifact_name(config, "csv"): levy.feasibility_csv(result),
         _artifact_name(config, "txt"): levy.feasibility_report_text(result),
@@ -157,7 +136,7 @@ def _run_all(config: RunConfig, spec: NormSpec, banner: list):
     results = {}
     status = EXIT_OK
     commands = ["criterion"]
-    if spec.dim in levy.DEFAULT_LEVELS:
+    if spec.dim in levy.LEVELS:
         commands.append("levy")
     else:
         banner.append("note: levy skipped (the moment problem supports dims 2 and 3)")
@@ -211,13 +190,6 @@ def run(config: RunConfig) -> int:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        levels = parse_levels(config.levels)
-    except SpecError as exc:
-        print(f"invalid levels: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if levels:
-            levy.check_level_sizes(levels)
         posdef.check_search_size(config.points, config.trials)
         check_p(config.p)
         if config.seed < 0:
@@ -271,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--spec", required=True, help="norm spec string (see module doc)")
         sp.add_argument("--p", type=float, default=default_p)
         sp.add_argument("--seed", type=int, default=RunConfig.seed)
-        sp.add_argument("--levels", default=RunConfig.levels,
-                        help="refinement levels 'dirs:samples,...' (empty = defaults)")
         sp.add_argument("--trials", type=int, default=RunConfig.trials)
         sp.add_argument("--points", type=int, default=RunConfig.points)
         sp.add_argument("--out", default=RunConfig.out)

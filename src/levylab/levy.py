@@ -42,21 +42,12 @@ PROBE_REFINEMENT = 4           # the plateau probe has 4x the last level's direc
 # predicts more atoms than this (its atom fraction times this level's
 # directions); other levels, and systems solved directly, use Lawson-Hanson.
 PIVOTING_MIN_ATOMS = 256
-# Largest level: directions (a plateau probe's 4x included) and samples.
-# solve_nnls holds the n x n Gram for the n directions of each scan level,
-# plus the n x n factor W of Lawson-Hanson or, when it pivots, LAPACK's copy
-# of the k x k passive block (a view of the permuted Gram) and its Cholesky
-# factor; A is samples x n.
-# The probe never forms its whole A: solve_nnls
-# receives only the priced columns, and pricing forms the probe's columns in
-# PROBE_REFINEMENT blocks, each the size of the last level's A.
-MAX_LEVEL_SIZE = 8192
 
 FEASIBLE = "FeasibleEvidence"
 INFEASIBLE = "InfeasibleEvidence"
 INCONCLUSIVE = "Inconclusive"
 
-DEFAULT_LEVELS = {
+LEVELS = {                     # dim -> (directions, samples) of each refinement level
     2: ((16, 32), (64, 128), (256, 512)),
     3: ((64, 128), (256, 512), (1024, 2048)),
 }
@@ -521,7 +512,9 @@ def _nearest_columns(atoms: np.ndarray, directions: np.ndarray) -> np.ndarray:
     plateau probe's pricing and the pivoting of a refinement level."""
     closeness = np.abs(atoms @ directions.T)
     nearest = np.argpartition(closeness, -PROBE_REFINEMENT, axis=1)
-    return np.unique(nearest[:, -PROBE_REFINEMENT:])
+    chosen = np.zeros(len(directions), dtype=bool)  # np.unique would import numpy.ma
+    chosen[nearest[:, -PROBE_REFINEMENT:]] = True
+    return np.flatnonzero(chosen)
 
 
 def _solve_priced(samples: np.ndarray, directions: np.ndarray, p: float, b: np.ndarray,
@@ -551,30 +544,22 @@ def _solve_priced(samples: np.ndarray, directions: np.ndarray, p: float, b: np.n
         del restricted                   # freed before the blocks allocate
         w = np.concatenate([_moment_matrix(samples, block, p).T @ resid
                             for block in np.array_split(directions, PROBE_REFINEMENT)])
-        w[columns] = -np.inf
-        entering = np.flatnonzero(w > NNLS_DUAL_TOL)
-        if not entering.size:
+        # with S at +inf the indices above the tolerance are S and the
+        # entering columns, sorted (np.union1d would import numpy.ma)
+        w[columns] = np.inf
+        joined = np.flatnonzero(w > NNLS_DUAL_TOL)
+        if len(joined) == len(columns):
             break
-        columns = np.union1d(columns, entering)
+        columns = joined
     x[columns] = sol.weights
     return (NnlsSolution(weights=x, relative_residual=sol.relative_residual,
                          converged=sol.converged, iterations=iterations, sample_count=len(b)),
             (rounds, len(columns)))
 
 
-def check_level_sizes(levels) -> None:
-    """Refuse (directions, samples) levels whose directions, the plateau
-    probe's PROBE_REFINEMENT x the last level's included, or samples exceed
-    MAX_LEVEL_SIZE."""
-    largest = max(PROBE_REFINEMENT * levels[-1][0], *(max(d, s) for d, s in levels))
-    if largest > MAX_LEVEL_SIZE:
-        raise ValueError(f"levels need {largest} directions or samples (the plateau probe "
-                         f"takes {PROBE_REFINEMENT}x the last level's directions), "
-                         f"more than {MAX_LEVEL_SIZE}")
-
-
-def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> FeasibilityResult:
-    """Solve the moment problem across refinement levels and grade the outcome.
+def feasibility_scan(spec: NormSpec, p: float, seed: int = 0) -> FeasibilityResult:
+    """Solve the moment problem across the refinement levels LEVELS[spec.dim],
+    coarse to fine, and grade the outcome.
 
     FeasibleEvidence: final residual < 1e-3 and residuals decrease with
     refinement, residuals below 1e-12 (rounding noise) comparing equal.
@@ -597,15 +582,10 @@ def feasibility_scan(spec: NormSpec, p: float, levels=None, seed: int = 0) -> Fe
     array is larger than the last level's A.
     """
     check_p(p)
-    if spec.dim not in DEFAULT_LEVELS:
-        raise ValueError(f"the moment problem supports dim {sorted(DEFAULT_LEVELS)}, "
+    if spec.dim not in LEVELS:
+        raise ValueError(f"the moment problem supports dim {sorted(LEVELS)}, "
                          f"got dim = {spec.dim}")
-    if levels is None:
-        levels = DEFAULT_LEVELS[spec.dim]
-    levels = [(int(d), int(s)) for d, s in levels]
-    if not levels or any(d < 1 or s < 1 for d, s in levels):
-        raise ValueError("levels must be a nonempty list of positive (directions, samples)")
-    check_level_sizes(levels)
+    levels = LEVELS[spec.dim]
     rng = np.random.default_rng(seed)
     sample_sets = [sample_norm_sphere(spec, s, rng) for _, s in levels]
     direction_sets = [direction_grid(spec.dim, d) for d, _ in levels]

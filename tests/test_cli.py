@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from levylab import cli, levy
 from levylab import criterion as crit
-from levylab.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main,
-                         parse_levels, spec_slug)
+from levylab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, spec_slug
 from test_mollifier import nan_d2_at_phi_zero
 
 
@@ -31,14 +30,6 @@ class TestParsing:
         assert spec_slug("lq:q=4:dim=3") == "lq-q-4-dim-3"
         assert spec_slug("orlicz:terms=0.5*t^3+0.5*t^5:dim=3") == \
             "orlicz-terms-0-5-t-3-0-5-t-5-dim-3"
-
-    def test_parse_levels(self):
-        assert parse_levels("") is None
-        assert parse_levels("16:32,64:128") == [(16, 32), (64, 128)]
-        with pytest.raises(Exception):
-            parse_levels("16-32")
-        with pytest.raises(Exception):
-            parse_levels("0:32")
 
     def test_bad_spec_exits_2(self, tmp_path):
         assert run_cli(["criterion", "--spec", "lq:q=0.5:dim=3",
@@ -84,7 +75,8 @@ class TestParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--format", "csv"), ("--x1-max", "64"),
-                                             ("--theta-count", "64")])
+                                             ("--theta-count", "64"),
+                                             ("--levels", "64:128")])
     def test_removed_flags_exit_2(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
             run_cli(["criterion", "--spec", "lq:q=4:dim=3", flag, value,
@@ -213,20 +205,7 @@ class TestLevyCommand:
         if dim != 2:
             assert "the theorem is stated for 3-dimensional spaces" in reason
 
-    def test_oversized_level_exits_2(self, tmp_path, capsys):
-        cap = levy.MAX_LEVEL_SIZE
-        code = run_cli(["levy", "--spec", "lq:q=4:dim=3", "--p", "1",
-                        "--levels", f"8:{cap + 1}", "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.splitlines() == [
-            f"invalid configuration: levels need {cap + 1} directions or samples (the "
-            f"plateau probe takes 4x the last level's directions), more than {cap}"]
-        assert not (tmp_path / "manifest.txt").exists()
-
     @pytest.mark.parametrize("flag, value, refusal", [
-        ("--levels", "64:128,4096:16",
-         "levels need 16384 directions or samples (the plateau probe takes 4x the last "
-         f"level's directions), more than {levy.MAX_LEVEL_SIZE}"),
         ("--seed", "-1", "seed must be nonnegative, got -1"),
         ("--trials", "0", "trials must be at least 1"),
         ("--points", "2", "n_points must be at least 3"),
@@ -241,14 +220,6 @@ class TestLevyCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {refusal}"]
         assert not out.exists()
-
-    def test_custom_levels(self, tmp_path):
-        code = run_cli(["levy", "--spec", "lq:q=4:dim=2", "--p", "1",
-                        "--levels", "8:16,32:64", "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        csv = (tmp_path / "levy_lq-q-4-dim-2_1.csv").read_text().splitlines()
-        assert csv[1].startswith("0,8,16,")
-        assert csv[2].startswith("1,32,64,")
 
 
 class TestPosdefCommand:
@@ -314,12 +285,12 @@ class TestSpellingsOfL2:
 
     def test_all_writes_the_same_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(crit, "THETA_COUNT", 64)
+        monkeypatch.setitem(levy.LEVELS, 3, ((16, 32), (64, 128)))
         artifacts = []
         for k, spec in enumerate(self.SPELLINGS):
             out = tmp_path / str(k)
-            assert run_cli(["all", "--spec", spec, "--p", "0.5", "--levels", "16:32,64:128",
-                            "--trials", "50", "--points", "6",
-                            "--out", str(out)]) == EXIT_OK
+            assert run_cli(["all", "--spec", spec, "--p", "0.5", "--trials", "50",
+                            "--points", "6", "--out", str(out)]) == EXIT_OK
             artifacts.append({
                 f.name.replace(spec_slug(spec), "SPEC"):
                     [line for line in f.read_text().splitlines()
@@ -378,12 +349,13 @@ class TestConflictDetection:
 
         real_scan = levy_mod.feasibility_scan
 
-        def fake_scan(spec, p, levels=None, seed=0):
-            result = real_scan(spec, p, levels=[(8, 16)], seed=seed)
+        def fake_scan(spec, p, seed=0):
+            result = real_scan(spec, p, seed=seed)
             result.interpretation = levy_mod.FEASIBLE
             return result
 
         monkeypatch.setattr(cli.levy, "feasibility_scan", fake_scan)
+        monkeypatch.setitem(levy_mod.LEVELS, 3, ((8, 16),))
         code = run_cli(["all", "--spec", "lq:q=4:dim=3", "--p", "1.5",
                         "--trials", "50", "--points", "8", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
@@ -399,10 +371,11 @@ class TestConflictDetection:
         assert code == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: non-finite")
 
-    def test_all_raises_route_disagreement_to_conflict(self, tmp_path, capsys):
+    def test_all_raises_route_disagreement_to_conflict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(levy.LEVELS, 3, ((8, 16),))
         spec = "orlicz:terms=1*t^2.0000001:dim=3"
-        code = run_cli(["all", "--spec", spec, "--p", "1", "--levels", "8:16",
-                        "--trials", "20", "--points", "5", "--out", str(tmp_path)])
+        code = run_cli(["all", "--spec", spec, "--p", "1", "--trials", "20", "--points", "5",
+                        "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
         banner = ("CONFLICT: criterion routes disagree: the analytic check proves "
                   "conditions I-III for this power family, but the grid verdict is "
